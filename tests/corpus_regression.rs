@@ -7,12 +7,14 @@
 //!   what these traces do shows up here as drift or a digest mismatch.
 
 use cc_fuzz::cca::CcaKind;
-use cc_fuzz::corpus::finding::Finding;
+use cc_fuzz::corpus::finding::{Finding, GenomePayload};
 use cc_fuzz::corpus::hunt::{hunt, HuntConfig};
 use cc_fuzz::corpus::replay::{replay_corpus, replay_findings};
 use cc_fuzz::corpus::report::corpus_report;
 use cc_fuzz::corpus::store::{Corpus, CorpusConfig, InsertOutcome};
 use cc_fuzz::fuzz::campaign::FuzzMode;
+use cc_fuzz::fuzz::evaluate::{EvalOutcome, EvalScratch, Evaluator, SimEvaluator};
+use cc_fuzz::netsim::sim::SimResult;
 use cc_fuzz::netsim::time::SimDuration;
 use std::path::PathBuf;
 
@@ -290,16 +292,100 @@ fn fixture_corpus_replays_without_drift() {
     assert_eq!(report.to_text(), again.to_text());
 }
 
+/// A cold `evaluate` and a warm `evaluate_reusing` of one genome, each with
+/// the behaviour digest of the simulation it scored.
+fn cold_and_warm<G>(
+    ev: &SimEvaluator,
+    genome: &G,
+    scratch: &mut EvalScratch,
+    simulate: fn(&SimEvaluator, &G, bool) -> SimResult,
+    simulate_reusing: fn(&SimEvaluator, &G, &mut EvalScratch) -> SimResult,
+) -> [(EvalOutcome, u64); 2]
+where
+    SimEvaluator: Evaluator<G>,
+{
+    let cold = (
+        ev.evaluate(genome),
+        simulate(ev, genome, false).stats.digest(),
+    );
+    // The scratch has already served earlier fixtures (other modes too);
+    // one more pass makes sure this genome's own buffers are warm.
+    ev.evaluate_reusing(genome, scratch);
+    let warm = (
+        ev.evaluate_reusing(genome, scratch),
+        simulate_reusing(ev, genome, scratch).stats.digest(),
+    );
+    [cold, warm]
+}
+
 /// The sim tracer must be an observer, not a participant: replaying every
 /// committed fixture with tracing enabled must reproduce the stored golden
 /// digest, and the strict replay report must stay byte-identical to one
-/// produced without tracing in the picture.
+/// produced without tracing in the picture. The fixtures cover every fuzz
+/// mode, so this is also the per-mode table pinning that a cold
+/// `evaluate`, a warm `evaluate_reusing` and the traced replay agree on
+/// the score and the behaviour digest.
 #[test]
 fn traced_replay_is_passive_on_every_fixture() {
     let findings = load_fixtures();
     let untraced = replay_findings(&findings, None).to_text();
+    let modes: Vec<FuzzMode> = findings.iter().map(|f| f.mode).collect();
+    for mode in FuzzMode::ALL {
+        assert!(
+            modes.contains(&mode),
+            "no fixture covers {} mode",
+            mode.name()
+        );
+    }
+    let mut scratch = EvalScratch::new();
     for finding in &findings {
         let (outcome, digest, trace) = finding.replay_traced();
+        let ev = finding.evaluator();
+        let paths = match &finding.genome {
+            GenomePayload::Traffic(g) => cold_and_warm(
+                &ev,
+                g,
+                &mut scratch,
+                SimEvaluator::simulate_traffic,
+                SimEvaluator::simulate_traffic_reusing,
+            ),
+            GenomePayload::Link(g) => cold_and_warm(
+                &ev,
+                g,
+                &mut scratch,
+                SimEvaluator::simulate_link,
+                SimEvaluator::simulate_link_reusing,
+            ),
+            GenomePayload::Scenario(g) => cold_and_warm(
+                &ev,
+                g,
+                &mut scratch,
+                SimEvaluator::simulate_scenario,
+                SimEvaluator::simulate_scenario_reusing,
+            ),
+            GenomePayload::Topology(g) => cold_and_warm(
+                &ev,
+                g,
+                &mut scratch,
+                SimEvaluator::simulate_topology,
+                SimEvaluator::simulate_topology_reusing,
+            ),
+            GenomePayload::Workload(g) => cold_and_warm(
+                &ev,
+                g,
+                &mut scratch,
+                SimEvaluator::simulate_workload,
+                SimEvaluator::simulate_workload_reusing,
+            ),
+        };
+        for (path, (scored, scored_digest)) in ["evaluate", "evaluate_reusing"].iter().zip(paths) {
+            assert_eq!(scored, outcome, "{}: {path} vs traced outcome", finding.id);
+            assert_eq!(
+                scored_digest, digest,
+                "{}: {path} vs traced digest",
+                finding.id
+            );
+        }
         assert_eq!(
             digest, finding.behavior_digest,
             "{}: tracing perturbed the behaviour digest",

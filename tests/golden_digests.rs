@@ -14,11 +14,15 @@
 //! `cargo run --release -p ccfuzz-bench --bin digest_probe`.
 
 use cc_fuzz::cca::{CcaDispatch, CcaKind};
-use cc_fuzz::fuzz::campaign::paper_sim_base;
+use cc_fuzz::fuzz::campaign::{paper_sim_base, Campaign};
+use cc_fuzz::fuzz::fuzzer::GaParams;
+use cc_fuzz::fuzz::scenario::{FlowGene, ScenarioGenome};
+use cc_fuzz::fuzz::workload::WorkloadGenome;
 use cc_fuzz::netsim::queue::Qdisc;
 use cc_fuzz::netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
 use cc_fuzz::netsim::time::{SimDuration, SimTime};
 use cc_fuzz::netsim::trace::TrafficTrace;
+use cc_fuzz::netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
 /// Pre-overhaul digests of the paper scenario (5 s, clean 12 Mbps link) per
 /// CCA, recorded at the last commit before the hot-path rewrite.
@@ -31,6 +35,17 @@ const GOLDEN_SINGLE_FLOW: [(CcaKind, u64); 4] = [
 
 /// Pre-overhaul digest of the mixed-CCA fairness scenario below.
 const GOLDEN_FAIRNESS: u64 = 0x39b924d4669c7e73;
+
+/// Digest of the `bbr,bbr,reno,cubic` fairness genome below, run through
+/// `SimEvaluator` under the fairness campaign preset. Two BBR flows share
+/// the bottleneck, so BBR's cwnd-save/restore and ProbeRTT paths are
+/// pinned in the multi-flow engine.
+const GOLDEN_MULTI_BBR_FAIRNESS: u64 = 0x27d66afbdb58bc4a;
+
+/// Digest of the workload genome below, run through `SimEvaluator` under
+/// the workload campaign preset: arrivals, slab recycling, FCT
+/// accounting and the elephant mix.
+const GOLDEN_WORKLOAD: u64 = 0x0ae7b9a81d3fcb8a;
 
 /// Digests of the paper scenario behind a default RED gateway with ECN on,
 /// per CCA, recorded when the qdisc layer landed. Drift here means the
@@ -74,6 +89,68 @@ fn fairness_scenario_specs() -> Vec<FlowSpec<CcaDispatch>> {
             stop: None,
         },
     ]
+}
+
+fn multi_bbr_fairness() -> (Campaign, ScenarioGenome) {
+    let ccas = vec![CcaKind::Bbr, CcaKind::Bbr, CcaKind::Reno, CcaKind::Cubic];
+    let duration = SimDuration::from_secs(5);
+    let campaign = Campaign::paper_fairness(ccas.clone(), duration, GaParams::quick());
+    let flow = |cca, start_ms, stop_ms: Option<u64>| FlowGene {
+        cca,
+        start: SimTime::from_millis(start_ms),
+        stop: stop_ms.map(SimTime::from_millis),
+    };
+    let genome = ScenarioGenome {
+        flows: vec![
+            flow(CcaKind::Bbr, 0, None),
+            flow(CcaKind::Bbr, 250, None),
+            flow(CcaKind::Reno, 500, Some(4_000)),
+            flow(CcaKind::Cubic, 1_000, None),
+        ],
+        duration,
+        max_flows: campaign.max_flows,
+        cca_pool: ccas,
+        traffic: None,
+        min_flows: 2,
+        qdisc: None,
+    };
+    (campaign, genome)
+}
+
+fn workload() -> (Campaign, WorkloadGenome) {
+    let pool = vec![CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr];
+    let duration = SimDuration::from_secs(3);
+    let campaign =
+        Campaign::paper_workload(CcaKind::Reno, pool.clone(), 3, duration, GaParams::quick());
+    let genome = WorkloadGenome {
+        arrivals: ArrivalConfig {
+            process: ArrivalProcess::OnOff {
+                rate_per_sec: 60.0,
+                mean_on_secs: 0.5,
+                mean_off_secs: 0.25,
+            },
+            size: SizeDistribution {
+                shape: 1.2,
+                min_packets: 2,
+                max_packets: 1_500,
+            },
+            mice_threshold_packets: 32,
+            max_concurrent: 32,
+            max_arrivals: 50_000,
+        },
+        elephants: vec![
+            FlowGene::whole_run(CcaKind::Reno),
+            FlowGene {
+                cca: CcaKind::Cubic,
+                start: SimTime::from_millis(800),
+                stop: Some(SimTime::from_millis(2_500)),
+            },
+        ],
+        max_elephants: campaign.max_flows,
+        cca_pool: pool,
+        duration,
+    };
+    (campaign, genome)
 }
 
 #[test]
@@ -120,6 +197,29 @@ fn fairness_scenario_digest_matches_pre_optimization_engine() {
         result.stats.digest(),
         GOLDEN_FAIRNESS,
         "fairness digest drift — multi-flow hot path changed behaviour"
+    );
+}
+
+#[test]
+fn multi_bbr_fairness_digest_matches_recorded_constant() {
+    let (campaign, genome) = multi_bbr_fairness();
+    let result = campaign.evaluator().simulate_scenario(&genome, false);
+    assert_eq!(
+        result.stats.digest(),
+        GOLDEN_MULTI_BBR_FAIRNESS,
+        "multi-BBR fairness digest drift"
+    );
+}
+
+#[test]
+fn workload_digest_matches_recorded_constant() {
+    let (campaign, genome) = workload();
+    let result = campaign.evaluator().simulate_workload(&genome, false);
+    assert!(result.stats.workload().is_some_and(|w| w.spawned > 0));
+    assert_eq!(
+        result.stats.digest(),
+        GOLDEN_WORKLOAD,
+        "workload digest drift"
     );
 }
 
