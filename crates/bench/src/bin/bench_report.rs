@@ -23,15 +23,18 @@
 //!   bench_report [--fast] [--out PATH] [--check PATH] [--tolerance F]
 //!
 //! `--check` loads a previously committed report and exits non-zero when any
-//! gated workload's normalised evals/sec (mini_campaign, fairness_8flow,
-//! fairness_32flow, multi_hop and workload_2k) regressed by more than `--tolerance`
-//! (default 0.20, i.e. 20 %). A zeroed workload block in the committed
-//! report is a hard failure, not a silent skip: an all-zero anchor would
-//! otherwise let any regression through for that workload.
+//! workload's `events_per_eval` fingerprint differs from the committed one
+//! (the simulated behaviour changed), or when any gated workload's
+//! normalised evals/sec (mini_campaign, fairness_8flow, fairness_32flow,
+//! multi_hop and workload_2k) regressed by more than `--tolerance` (default
+//! 0.20, i.e. 20 %). A zeroed workload block in the committed report is a
+//! hard failure, not a silent skip: an all-zero anchor would otherwise let
+//! any regression through for that workload.
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, Campaign, FuzzMode};
 use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::TrafficTrace;
@@ -226,6 +229,18 @@ impl BenchReport {
             return 0.0;
         }
         workload.evals_per_sec / self.calibration_mops
+    }
+
+    /// Every timed workload, by name: the `--check` fingerprint set.
+    fn workloads(&self) -> [(&'static str, &WorkloadReport); 6] {
+        [
+            ("single_flow", &self.single_flow),
+            ("fairness_8flow", &self.fairness_8flow),
+            ("fairness_32flow", &self.fairness_32flow),
+            ("multi_hop", &self.multi_hop),
+            ("workload_2k", &self.workload_2k),
+            ("mini_campaign", &self.mini_campaign),
+        ]
     }
 
     /// The workloads the `--check` regression gate covers, by name.
@@ -479,7 +494,7 @@ fn mini_campaign(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
     // latency quantiles (per-rep wall time would only show whole campaigns).
     let telemetry = HuntTelemetry::new();
     let (report, _per_rep) = time_workload(reps, || {
-        let result = campaign.run_traffic_with(Some(&telemetry));
+        let result = campaign.run_with::<TrafficGenome>(Some(&telemetry));
         evals_per_run = result.total_evaluations as u64;
         std::hint::black_box(result.total_evaluations as u64 * events_per_run)
     });
@@ -668,6 +683,21 @@ fn main() {
         let committed: BenchReport =
             serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check {path}: bad JSON: {e}"));
         let mut failed = false;
+        // Fingerprints first: a workload whose events per evaluation moved
+        // simulates something else now, so its speed is not comparable and
+        // the committed anchor must be re-pinned (with the cause recorded).
+        for ((name, reference_workload), (_, current_workload)) in
+            committed.workloads().iter().zip(report.workloads())
+        {
+            if current_workload.events_per_eval != reference_workload.events_per_eval {
+                eprintln!(
+                    "FAIL: {name} events_per_eval is {} but {path} pins {} — \
+                     simulated behaviour changed",
+                    current_workload.events_per_eval, reference_workload.events_per_eval
+                );
+                failed = true;
+            }
+        }
         let current_workloads = report.gated_workloads();
         for ((name, reference_workload), (_, current_workload)) in
             committed.gated_workloads().iter().zip(current_workloads)

@@ -9,6 +9,7 @@ use ccfuzz_analysis::report::{
 use ccfuzz_bench::{print_figure, print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode, PAPER_LINK_RATE_BPS};
+use ccfuzz_core::TrafficGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -18,7 +19,7 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Bbr, duration, ga);
 
     eprintln!("running traffic fuzzing vs BBR ({:?} scale)...", scale);
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     let replay = campaign
         .evaluator()
         .simulate_traffic(&result.best_genome, true);

@@ -9,6 +9,7 @@ use ccfuzz_analysis::report::{
 use ccfuzz_bench::{print_figure, print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::LinkGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Link, CcaKind::Bbr, duration, ga);
 
     eprintln!("running link fuzzing vs BBR ({:?} scale)...", scale);
-    let result = campaign.run_link();
+    let result = campaign.run::<LinkGenome>();
     let replay = campaign
         .evaluator()
         .simulate_link(&result.best_genome, true);

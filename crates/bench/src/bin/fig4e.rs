@@ -9,6 +9,7 @@ use ccfuzz_analysis::timeseries::percentile;
 use ccfuzz_bench::{print_figure, print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::TrafficGenome;
 use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -22,7 +23,7 @@ fn main() {
         "running traffic fuzzing vs BBR with the p10-delay objective ({:?} scale)...",
         scale
     );
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     let replay = campaign
         .evaluator()
         .simulate_traffic(&result.best_genome, true);

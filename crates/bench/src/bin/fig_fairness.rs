@@ -20,6 +20,7 @@ use ccfuzz_bench::{print_figure, print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::Campaign;
 use ccfuzz_core::scoring::fairness_breakdown;
+use ccfuzz_core::ScenarioGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
     let ga = scale.ga(21, 8, 40);
     let flow_ccas = vec![CcaKind::Bbr, CcaKind::Reno];
     let campaign = Campaign::paper_fairness(flow_ccas, duration, ga);
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>();
 
     // Convergence of the unfairness objective.
     let convergence = FigureSeries::new(

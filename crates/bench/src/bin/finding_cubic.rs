@@ -10,6 +10,7 @@ use ccfuzz_analysis::report::one_line_summary;
 use ccfuzz_bench::{print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::TrafficGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
         "running traffic fuzzing vs the NS3-buggy CUBIC ({:?} scale)...",
         scale
     );
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
 
     // Replay the same trace against buggy and fixed CUBIC.
     let buggy_run = campaign

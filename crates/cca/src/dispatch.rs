@@ -4,8 +4,7 @@
 //! simulated packet — millions of calls per campaign. `Box<dyn
 //! CongestionControl>` pays a virtual call (and defeats inlining) at each of
 //! those; [`CcaDispatch`] replaces it with a `match` the compiler can
-//! flatten and inline, while the [`CcaDispatch::Custom`] variant keeps the
-//! door open for out-of-tree algorithms that only exist as trait objects.
+//! flatten and inline.
 //!
 //! The simulator is generic over its controller type
 //! ([`TcpSender<C>`](ccfuzz_netsim::tcp::sender::TcpSender)), so plugging
@@ -20,10 +19,8 @@ use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSamp
 
 /// A congestion control algorithm, dispatched by enum variant instead of
 /// vtable on the per-ACK hot path. `Clone` lets one instance serve as the
-/// prototype a workload simulation stamps per-arrival controllers from;
-/// every registry-built variant clones, only [`CcaDispatch::Custom`]
-/// (an opaque trait object) panics.
-#[derive(Debug)]
+/// prototype a workload simulation stamps per-arrival controllers from.
+#[derive(Clone, Debug)]
 pub enum CcaDispatch {
     /// TCP Reno / NewReno.
     Reno(Reno),
@@ -37,25 +34,6 @@ pub enum CcaDispatch {
     Dctcp(Dctcp),
     /// Fixed congestion window (testing / traffic shaping baseline).
     Fixed(FixedWindowCc),
-    /// Escape hatch for algorithms outside this crate; pays the virtual
-    /// call the other variants avoid.
-    Custom(Box<dyn CongestionControl>),
-}
-
-impl Clone for CcaDispatch {
-    fn clone(&self) -> Self {
-        match self {
-            CcaDispatch::Reno(c) => CcaDispatch::Reno(c.clone()),
-            CcaDispatch::Cubic(c) => CcaDispatch::Cubic(c.clone()),
-            CcaDispatch::Bbr(c) => CcaDispatch::Bbr(c.clone()),
-            CcaDispatch::Vegas(c) => CcaDispatch::Vegas(c.clone()),
-            CcaDispatch::Dctcp(c) => CcaDispatch::Dctcp(c.clone()),
-            CcaDispatch::Fixed(c) => CcaDispatch::Fixed(c.clone()),
-            CcaDispatch::Custom(_) => {
-                panic!("CcaDispatch::Custom holds an opaque trait object and cannot be cloned")
-            }
-        }
-    }
 }
 
 macro_rules! dispatch {
@@ -67,7 +45,6 @@ macro_rules! dispatch {
             CcaDispatch::Vegas($cc) => $body,
             CcaDispatch::Dctcp($cc) => $body,
             CcaDispatch::Fixed($cc) => $body,
-            CcaDispatch::Custom($cc) => $body,
         }
     };
 }
@@ -181,14 +158,6 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn custom_variant_delegates() {
-        let mut cc = CcaDispatch::Custom(CcaKind::Reno.build(10));
-        assert_eq!(cc.name(), "reno");
-        assert!(cc.cwnd() >= 1);
-        assert!(cc.take_events().is_empty());
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! A *campaign* bundles the network scenario (§3.1/§4: 12 Mbps bottleneck,
 //! 20 ms propagation delay, SACK + delayed ACKs, 1 s min-RTO), a CCA under
-//! test, a scoring configuration and the GA parameters, and runs either
-//! traffic fuzzing or link fuzzing end to end. The figure binaries, the
+//! test, a scoring configuration and the GA parameters, and runs any
+//! [`FuzzTarget`] genome type end to end. The figure binaries, the
 //! examples and the integration tests all go through this module so the
 //! experiment definitions live in exactly one place.
 
 use crate::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
 use crate::evaluate::{Evaluator, SimEvaluator};
 use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, RunControl};
-use crate::genome::{Genome, LinkGenome, TrafficGenome};
-use crate::scenario::{QdiscChoice, ScenarioGenome};
+use crate::genome::Genome;
+use crate::scenario::QdiscChoice;
 use crate::scoring::ScoringConfig;
-use crate::topology::TopologyGenome;
+use crate::target::FuzzTarget;
 use crate::trace_gen::packets_for_rate;
-use crate::workload::WorkloadGenome;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::queue::QueueCapacity;
@@ -268,379 +267,62 @@ impl Campaign {
         SimEvaluator::new(self.sim.clone(), self.cca, self.scoring, self.link_rate_bps)
     }
 
-    /// Runs a traffic-fuzzing campaign. Panics if the mode is not [`FuzzMode::Traffic`].
-    pub fn run_traffic(&self) -> FuzzResult<TrafficGenome> {
-        self.run_traffic_with(None)
+    /// Runs this campaign over genome type `G`. Panics if `G` does not
+    /// serve the campaign's mode (see [`FuzzTarget::MODES`]).
+    pub fn run<G: FuzzTarget>(&self) -> FuzzResult<G> {
+        self.run_with(None)
     }
 
-    /// [`Campaign::run_traffic`] with an optional telemetry observer. The
-    /// observer is passive — population evolution and results are identical
-    /// with or without it.
-    pub fn run_traffic_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<TrafficGenome> {
-        self.run_traffic_controlled(obs, CampaignControl::default())
+    /// [`Campaign::run`] with an optional telemetry observer. The observer
+    /// is passive — population evolution and results are identical with or
+    /// without it.
+    pub fn run_with<G: FuzzTarget>(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<G> {
+        self.run_controlled(obs, CampaignControl::default())
             .expect("uncontrolled campaign runs cannot fail to start")
             .result
     }
 
-    /// [`Campaign::run_traffic_with`] under a [`CampaignControl`] plane:
-    /// shutdown flag, periodic checkpoints, panic budget and resume.
-    pub fn run_traffic_controlled(
+    /// [`Campaign::run_with`] under a [`CampaignControl`] plane: shutdown
+    /// flag, periodic checkpoints, panic budget and resume.
+    pub fn run_controlled<G: FuzzTarget>(
         &self,
         obs: Option<&HuntTelemetry>,
         mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<TrafficGenome>, String> {
+    ) -> Result<ControlledRun<G>, String> {
         let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_traffic()?),
-            None => None,
-        };
-        let fuzzer = self.build_traffic_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Traffic))
+        let resume = ctl.resume.take().map(G::unwrap_snapshot).transpose()?;
+        let fuzzer = self.build_fuzzer(&evaluator, resume, obs)?;
+        Ok(drive(fuzzer, &mut ctl, G::wrap_snapshot))
     }
 
-    /// Builds this campaign's traffic-mode fuzzer — fresh from the campaign
-    /// seed, or restored from `resume`. Single-process runs and every shard
-    /// worker of a distributed run go through this one constructor, so their
-    /// fuzzers are byte-identical by construction. Panics if the mode is not
-    /// [`FuzzMode::Traffic`].
-    pub fn build_traffic_fuzzer<'e>(
+    /// Builds this campaign's fuzzer — fresh from the campaign seed, or
+    /// restored from `resume` — with the target's annealing hook attached.
+    /// Single-process runs and every shard worker of a distributed run go
+    /// through this one constructor, so their fuzzers are byte-identical by
+    /// construction. Panics if `G` does not serve the campaign's mode.
+    pub fn build_fuzzer<'e, G: FuzzTarget>(
         &self,
         evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<TrafficGenome>>,
+        resume: Option<FuzzerSnapshot<G>>,
         obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, TrafficGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Traffic,
-            "campaign is not in traffic mode"
-        );
-        let duration = self.duration;
-        let max_packets = self.traffic_max_packets;
+    ) -> Result<Fuzzer<'e, G, SimEvaluator>, String> {
+        assert!(G::MODES.contains(&self.mode), "campaign is {}", {
+            let not_in: Vec<String> = G::MODES
+                .iter()
+                .map(|m| format!("not in {} mode", m.name()))
+                .collect();
+            not_in.join(" and ")
+        });
         let mut fuzzer = match resume {
             Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
             None => {
                 let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, |rng: &mut SimRng| {
-                    TrafficGenome::generate(max_packets, duration, rng)
-                })
+                Fuzzer::new(self.ga, evaluator, |rng: &mut SimRng| G::seed(self, rng))
             }
         };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
+        if let Some(anneal) = G::annealer(self) {
+            fuzzer = fuzzer.with_annealing(anneal);
         }
-        Ok(fuzzer)
-    }
-
-    /// Runs a link-fuzzing campaign (with annealing if `ga.anneal` is set).
-    /// Panics if the mode is not [`FuzzMode::Link`].
-    pub fn run_link(&self) -> FuzzResult<LinkGenome> {
-        self.run_link_with(None)
-    }
-
-    /// [`Campaign::run_link`] with an optional telemetry observer.
-    pub fn run_link_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<LinkGenome> {
-        self.run_link_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_link_with`] under a [`CampaignControl`] plane.
-    pub fn run_link_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<LinkGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_link()?),
-            None => None,
-        };
-        let fuzzer = self.build_link_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Link))
-    }
-
-    /// Builds this campaign's link-mode fuzzer (annealing hook attached when
-    /// `ga.anneal` is set) — fresh or restored from `resume`; see
-    /// [`Campaign::build_traffic_fuzzer`] for why construction is shared.
-    /// Panics if the mode is not [`FuzzMode::Link`].
-    pub fn build_link_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<LinkGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, LinkGenome, SimEvaluator>, String> {
-        assert_eq!(self.mode, FuzzMode::Link, "campaign is not in link mode");
-        let duration = self.duration;
-        let total_packets = packets_for_rate(self.link_rate_bps, self.sim.mss, duration);
-        let k_agg = SimDuration::from_millis(PAPER_K_AGG_MS);
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    LinkGenome::generate(total_packets, duration, k_agg, rng)
-                })
-            }
-        };
-        if self.ga.anneal {
-            fuzzer = fuzzer.with_annealing(Box::new(|genome: &LinkGenome, rng: &mut SimRng| {
-                genome.anneal(3, SimDuration::from_micros(200), rng)
-            }));
-        }
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs a fairness-fuzzing campaign over multi-flow scenario genomes.
-    /// Panics if the mode is not [`FuzzMode::Fairness`].
-    pub fn run_fairness(&self) -> FuzzResult<ScenarioGenome> {
-        self.run_fairness_with(None)
-    }
-
-    /// [`Campaign::run_fairness`] with an optional telemetry observer.
-    pub fn run_fairness_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<ScenarioGenome> {
-        self.run_fairness_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_fairness_with`] under a [`CampaignControl`] plane.
-    pub fn run_fairness_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<ScenarioGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_scenario()?),
-            None => None,
-        };
-        let fuzzer = self.build_fairness_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Scenario))
-    }
-
-    /// Builds this campaign's fairness-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Fairness`].
-    pub fn build_fairness_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<ScenarioGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, ScenarioGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Fairness,
-            "campaign is not in fairness mode"
-        );
-        let duration = self.duration;
-        let flow_ccas = self.flow_ccas.clone();
-        let max_flows = self.max_flows;
-        let traffic_max_packets = self.traffic_max_packets;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    ScenarioGenome::generate(
-                        &flow_ccas,
-                        max_flows,
-                        duration,
-                        traffic_max_packets,
-                        rng,
-                    )
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs an AQM-fuzzing campaign over single-flow scenario genomes with
-    /// qdisc genes. Panics if the mode is not [`FuzzMode::Aqm`].
-    pub fn run_aqm(&self) -> FuzzResult<ScenarioGenome> {
-        self.run_aqm_with(None)
-    }
-
-    /// [`Campaign::run_aqm`] with an optional telemetry observer.
-    pub fn run_aqm_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<ScenarioGenome> {
-        self.run_aqm_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_aqm_with`] under a [`CampaignControl`] plane.
-    pub fn run_aqm_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<ScenarioGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_scenario()?),
-            None => None,
-        };
-        let fuzzer = self.build_aqm_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Scenario))
-    }
-
-    /// Builds this campaign's AQM-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Aqm`].
-    pub fn build_aqm_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<ScenarioGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, ScenarioGenome, SimEvaluator>, String> {
-        assert_eq!(self.mode, FuzzMode::Aqm, "campaign is not in aqm mode");
-        let duration = self.duration;
-        let cca = self.cca;
-        let traffic_max_packets = self.traffic_max_packets;
-        let choice = self.qdisc_choice;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    ScenarioGenome::generate_aqm(cca, duration, traffic_max_packets, choice, rng)
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs a topology-fuzzing campaign over multi-hop parking-lot genomes.
-    /// Panics if the mode is not [`FuzzMode::Topology`].
-    pub fn run_topology(&self) -> FuzzResult<TopologyGenome> {
-        self.run_topology_with(None)
-    }
-
-    /// [`Campaign::run_topology`] with an optional telemetry observer.
-    pub fn run_topology_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<TopologyGenome> {
-        self.run_topology_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_topology_with`] under a [`CampaignControl`] plane.
-    pub fn run_topology_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<TopologyGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_topology()?),
-            None => None,
-        };
-        let fuzzer = self.build_topology_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Topology))
-    }
-
-    /// Builds this campaign's topology-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Topology`].
-    pub fn build_topology_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<TopologyGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, TopologyGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Topology,
-            "campaign is not in topology mode"
-        );
-        let duration = self.duration;
-        let cca = self.cca;
-        let hops = self.topology_hops;
-        let traffic_max_packets = self.traffic_max_packets;
-        let cca_pool = self.flow_ccas.clone();
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    TopologyGenome::generate(
-                        cca,
-                        hops,
-                        duration,
-                        traffic_max_packets,
-                        &cca_pool,
-                        rng,
-                    )
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs a workload-fuzzing campaign over dynamic-arrival genomes.
-    /// Panics if the mode is not [`FuzzMode::Workload`].
-    pub fn run_workload(&self) -> FuzzResult<WorkloadGenome> {
-        self.run_workload_with(None)
-    }
-
-    /// [`Campaign::run_workload`] with an optional telemetry observer.
-    pub fn run_workload_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<WorkloadGenome> {
-        self.run_workload_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_workload_with`] under a [`CampaignControl`] plane.
-    pub fn run_workload_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<WorkloadGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_workload()?),
-            None => None,
-        };
-        let fuzzer = self.build_workload_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Workload))
-    }
-
-    /// Builds this campaign's workload-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Workload`].
-    pub fn build_workload_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<WorkloadGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, WorkloadGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Workload,
-            "campaign is not in workload mode"
-        );
-        let duration = self.duration;
-        let cca = self.cca;
-        let cca_pool = self.flow_ccas.clone();
-        let max_elephants = self.max_flows;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    WorkloadGenome::generate(cca, &cca_pool, max_elephants, duration, rng)
-                })
-            }
-        };
         if let Some(obs) = obs {
             fuzzer = fuzzer.with_observer(obs);
         }
@@ -713,7 +395,10 @@ pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::Genome;
+    use crate::genome::{LinkGenome, TrafficGenome};
+    use crate::scenario::ScenarioGenome;
+    use crate::topology::TopologyGenome;
+    use crate::workload::WorkloadGenome;
 
     #[test]
     fn paper_base_matches_paper_settings() {
@@ -770,7 +455,7 @@ mod tests {
             SimDuration::from_secs(2),
             ga,
         );
-        let result = c.run_traffic();
+        let result = c.run::<TrafficGenome>();
         assert_eq!(result.history.len(), 2);
         assert!(result.total_evaluations >= 6);
         assert!(result.best_outcome.score > 0.0);
@@ -786,7 +471,7 @@ mod tests {
         ga.anneal = true;
         let c =
             Campaign::paper_standard(FuzzMode::Link, CcaKind::Reno, SimDuration::from_secs(2), ga);
-        let result = c.run_link();
+        let result = c.run::<LinkGenome>();
         assert_eq!(result.history.len(), 2);
         let expected_packets =
             packets_for_rate(PAPER_LINK_RATE_BPS, c.sim.mss, SimDuration::from_secs(2));
@@ -822,7 +507,7 @@ mod tests {
             SimDuration::from_secs(2),
             ga,
         );
-        let result = c.run_fairness();
+        let result = c.run::<ScenarioGenome>();
         assert_eq!(result.history.len(), 2);
         assert!(result.total_evaluations >= 6);
         result.best_genome.validate().unwrap();
@@ -868,7 +553,7 @@ mod tests {
             ga,
             QdiscChoice::Any,
         );
-        let result = c.run_aqm();
+        let result = c.run::<ScenarioGenome>();
         assert_eq!(result.history.len(), 2);
         assert!(result.total_evaluations >= 6);
         result.best_genome.validate().unwrap();
@@ -917,7 +602,7 @@ mod tests {
         ga.population_per_island = 3;
         ga.generations = 2;
         let c = Campaign::paper_topology(CcaKind::Reno, 3, SimDuration::from_secs(2), ga);
-        let result = c.run_topology();
+        let result = c.run::<TopologyGenome>();
         assert_eq!(result.history.len(), 2);
         assert!(result.total_evaluations >= 6);
         result.best_genome.validate().unwrap();
@@ -962,7 +647,7 @@ mod tests {
             SimDuration::from_secs(2),
             ga,
         );
-        let result = c.run_workload();
+        let result = c.run::<WorkloadGenome>();
         assert_eq!(result.history.len(), 2);
         assert!(result.total_evaluations >= 6);
         result.best_genome.validate().unwrap();
@@ -979,7 +664,7 @@ mod tests {
             SimDuration::from_secs(2),
             GaParams::quick(),
         );
-        let _ = c.run_workload();
+        let _ = c.run::<WorkloadGenome>();
     }
 
     #[test]
@@ -991,7 +676,7 @@ mod tests {
             SimDuration::from_secs(2),
             GaParams::quick(),
         );
-        let _ = c.run_topology();
+        let _ = c.run::<TopologyGenome>();
     }
 
     #[test]
@@ -1003,7 +688,7 @@ mod tests {
             SimDuration::from_secs(2),
             GaParams::quick(),
         );
-        let _ = c.run_aqm();
+        let _ = c.run::<ScenarioGenome>();
     }
 
     #[test]
@@ -1015,7 +700,7 @@ mod tests {
             SimDuration::from_secs(2),
             GaParams::quick(),
         );
-        let _ = c.run_fairness();
+        let _ = c.run::<ScenarioGenome>();
     }
 
     #[test]
@@ -1027,6 +712,6 @@ mod tests {
             SimDuration::from_secs(2),
             GaParams::quick(),
         );
-        let _ = c.run_traffic();
+        let _ = c.run::<TrafficGenome>();
     }
 }

@@ -1,17 +1,17 @@
 //! Mode-erased campaign checkpoint state and the campaign control plane.
 //!
 //! A [`crate::fuzzer::FuzzerSnapshot`] is generic over its genome type; a
-//! checkpoint file on disk is not. [`SnapshotPayload`] wraps the four
+//! checkpoint file on disk is not. [`SnapshotPayload`] wraps the five
 //! concrete genome populations behind one serializable enum (mirroring the
 //! corpus's `GenomePayload` for findings), and [`CampaignControl`] carries
 //! the shutdown flag, checkpoint cadence, panic budget and optional resume
-//! state into [`crate::campaign::Campaign`]'s `run_*_controlled` entry
-//! points.
+//! state into [`crate::campaign::Campaign::run_controlled`].
 
 use crate::campaign::FuzzMode;
 use crate::fuzzer::{FuzzResult, FuzzerSnapshot, GaParams, StopReason};
 use crate::genome::{LinkGenome, TrafficGenome};
 use crate::scenario::ScenarioGenome;
+use crate::target::FuzzTarget;
 use crate::topology::TopologyGenome;
 use crate::workload::WorkloadGenome;
 use serde::{Deserialize, Serialize};
@@ -47,19 +47,17 @@ impl SnapshotPayload {
         }
     }
 
-    /// Whether this payload can resume a campaign of the given mode.
+    /// Whether this payload can resume a campaign of the given mode
+    /// ([`FuzzTarget::MODES`] of its genome type).
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        matches!(
-            (self, mode),
-            (SnapshotPayload::Traffic(_), FuzzMode::Traffic)
-                | (SnapshotPayload::Link(_), FuzzMode::Link)
-                | (
-                    SnapshotPayload::Scenario(_),
-                    FuzzMode::Fairness | FuzzMode::Aqm
-                )
-                | (SnapshotPayload::Topology(_), FuzzMode::Topology)
-                | (SnapshotPayload::Workload(_), FuzzMode::Workload)
-        )
+        let modes = match self {
+            SnapshotPayload::Traffic(_) => TrafficGenome::MODES,
+            SnapshotPayload::Link(_) => LinkGenome::MODES,
+            SnapshotPayload::Scenario(_) => ScenarioGenome::MODES,
+            SnapshotPayload::Topology(_) => TopologyGenome::MODES,
+            SnapshotPayload::Workload(_) => WorkloadGenome::MODES,
+        };
+        modes.contains(&mode)
     }
 
     /// The generation the resumed fuzzer will evaluate next.
@@ -118,49 +116,10 @@ impl SnapshotPayload {
         }
     }
 
-    /// Unwraps a traffic-mode snapshot.
+    /// Unwraps a traffic-mode snapshot ([`FuzzTarget::unwrap_snapshot`]).
     pub fn into_traffic(self) -> Result<FuzzerSnapshot<TrafficGenome>, String> {
-        match self {
-            SnapshotPayload::Traffic(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "traffic")),
-        }
+        TrafficGenome::unwrap_snapshot(self)
     }
-
-    /// Unwraps a link-mode snapshot.
-    pub fn into_link(self) -> Result<FuzzerSnapshot<LinkGenome>, String> {
-        match self {
-            SnapshotPayload::Link(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "link")),
-        }
-    }
-
-    /// Unwraps a fairness/AQM-mode snapshot.
-    pub fn into_scenario(self) -> Result<FuzzerSnapshot<ScenarioGenome>, String> {
-        match self {
-            SnapshotPayload::Scenario(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "scenario")),
-        }
-    }
-
-    /// Unwraps a topology-mode snapshot.
-    pub fn into_topology(self) -> Result<FuzzerSnapshot<TopologyGenome>, String> {
-        match self {
-            SnapshotPayload::Topology(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "topology")),
-        }
-    }
-
-    /// Unwraps a workload-mode snapshot.
-    pub fn into_workload(self) -> Result<FuzzerSnapshot<WorkloadGenome>, String> {
-        match self {
-            SnapshotPayload::Workload(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "workload")),
-        }
-    }
-}
-
-fn mismatch(got: &str, wanted: &str) -> String {
-    format!("checkpoint holds a {got} population, cannot resume a {wanted} campaign")
 }
 
 /// External control plane for a campaign run: cooperative shutdown, periodic
@@ -223,7 +182,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         assert!(payload.matches_mode(FuzzMode::Traffic));
@@ -234,7 +193,7 @@ mod tests {
         assert!(payload.evaluations() >= 6);
         assert_eq!(payload.panics_caught(), 0);
         payload.validate().unwrap();
-        assert!(payload.into_link().is_err());
+        assert!(LinkGenome::unwrap_snapshot(payload).is_err());
     }
 
     #[test]
@@ -246,7 +205,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         let json = serde_json::to_string(&payload).unwrap();

@@ -10,17 +10,11 @@ use crate::scoring::{
     performance_score_reusing, total_score, trace_score, ScoreScratch, ScoringConfig,
     TraceScoreInputs,
 };
-use crate::topology::TopologyGenome;
-use crate::workload::WorkloadGenome;
+use crate::target::FuzzTarget;
 use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
-use ccfuzz_netsim::link::LinkModel;
-use ccfuzz_netsim::sim::{
-    run_multi_flow_simulation_pooled, run_workload_simulation_pooled, FlowSpec, SimResult,
-    SimScratch, Simulation,
-};
+use ccfuzz_netsim::sim::{FlowSpec, SimResult, SimScratch, Simulation};
 use ccfuzz_netsim::simtrace::{SimTrace, DEFAULT_TRACE_CAPACITY};
-use ccfuzz_netsim::trace::{LinkTrace, TrafficTrace};
 use serde::{Deserialize, Serialize};
 
 /// Everything the genetic algorithm needs to know about one evaluation.
@@ -49,26 +43,9 @@ pub struct EvalOutcome {
 }
 
 impl EvalOutcome {
-    /// Scores a finished simulation. Public so that replay/corpus tooling can
-    /// derive an outcome from a [`SimResult`] it already has (avoiding a
-    /// second simulation of the same genome).
-    pub fn from_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        trace_inputs: Option<TraceScoreInputs>,
-    ) -> Self {
-        Self::from_result_reusing(
-            scoring,
-            result,
-            mss,
-            trace_inputs,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_result`] with reusable scoring buffers (identical
-    /// result; a warm evaluator allocates nothing while scoring).
+    /// Scores a finished single-flow simulation: the base every
+    /// [`FuzzTarget::score`] builds on. Reuses `score`'s buffers, so a warm
+    /// evaluator allocates nothing while scoring.
     pub fn from_result_reusing(
         scoring: &ScoringConfig,
         result: &SimResult,
@@ -114,10 +91,10 @@ pub struct EvalScratch {
     pub sim: SimScratch<CcaDispatch>,
     /// Recycled flow-spec buffer; refilled per genome and drained by the
     /// pooled simulation constructor.
-    specs: Vec<FlowSpec<CcaDispatch>>,
+    pub(crate) specs: Vec<FlowSpec<CcaDispatch>>,
     /// Recycled CCA-prototype buffer for workload genomes; refilled per
     /// genome and drained into the arena's clone pool.
-    protos: Vec<CcaDispatch>,
+    pub(crate) protos: Vec<CcaDispatch>,
     /// Recycled scoring buffers (windowed throughput counts/rates).
     score: ScoreScratch,
 }
@@ -143,7 +120,8 @@ pub trait Evaluator<G>: Sync + Send {
     }
 }
 
-/// The standard simulator-backed evaluator used by both fuzzing modes.
+/// The standard simulator-backed evaluator: evaluates every
+/// [`FuzzTarget`] genome type.
 #[derive(Clone, Debug)]
 pub struct SimEvaluator {
     /// Base simulation settings (duration, delays, queue, transport options).
@@ -176,560 +154,135 @@ impl SimEvaluator {
         }
     }
 
-    fn traffic_cfg(&self, genome: &TrafficGenome, record_events: bool) -> SimConfig {
+    /// Runs `genome` once: its [`FuzzTarget::build`] fills the
+    /// configuration and the flows into `scratch`, the simulation draws
+    /// every other structure from the scratch arena and returns it there.
+    /// Fresh, reusing and traced runs all come through here, so they only
+    /// differ in the capacity they start with.
+    fn run<G: FuzzTarget>(
+        &self,
+        genome: &G,
+        record_events: bool,
+        traced: bool,
+        scratch: &mut EvalScratch,
+    ) -> (SimResult, Option<SimTrace>) {
         let mut cfg = self.base.clone();
         cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = genome.to_trace();
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::traffic_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena (identical trace content).
-    fn traffic_cfg_reusing(
-        &self,
-        genome: &TrafficGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        let mut buf = sim.take_time_buf();
-        buf.extend_from_slice(&genome.timestamps);
-        cfg.cross_traffic = TrafficTrace::new(buf, genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    fn link_cfg(&self, genome: &LinkGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::TraceDriven {
-            trace: genome.to_trace(),
-        };
-        cfg.cross_traffic = ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::link_cfg`] building the service curve in a recycled
-    /// timestamp buffer from the arena (identical trace content).
-    fn link_cfg_reusing(
-        &self,
-        genome: &LinkGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        let mut buf = sim.take_time_buf();
-        buf.extend_from_slice(&genome.timestamps);
-        cfg.link = LinkModel::TraceDriven {
-            trace: LinkTrace::new(buf, genome.duration),
-        };
-        cfg.cross_traffic = TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// The scoring configuration used for a topology genome: the reference
-    /// rate is capped at the evolved chain's bottleneck rate, so the
-    /// throughput and collapse terms measure *underutilization of the
-    /// capacity the chain actually offers*. Without the cap, the GA's
-    /// steepest gradient would simply be "evolve slower hops" — a 3 Mbps
-    /// chain scores >= 0.75 against the fixed 12 Mbps reference even when
-    /// every flow behaves perfectly (the same reward hack the link genome
-    /// prevents by fixing its total packet count). Public because corpus
-    /// replay must score a stored topology finding exactly as the hunt did.
-    pub fn topology_scoring(&self, genome: &TopologyGenome) -> ScoringConfig {
-        let mut scoring = self.scoring;
-        if let Some(bottleneck) = genome.hops.iter().map(|h| h.rate_bps).min() {
-            scoring.reference_rate_bps = scoring.reference_rate_bps.min(bottleneck as f64);
+        genome.build(self, &mut cfg, scratch);
+        let arena = std::mem::take(&mut scratch.sim);
+        let mut sim = Simulation::new_multi_reusing(cfg, &mut scratch.specs, arena);
+        if !scratch.protos.is_empty() {
+            sim.install_arrivals(&mut scratch.protos);
         }
-        scoring
-    }
-
-    fn topology_cfg(&self, genome: &TopologyGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        // The legacy single-bottleneck fields stay at the campaign defaults;
-        // the genome's hop chain supersedes them.
-        cfg.topology = Some(genome.to_topology());
-        cfg.cross_traffic = genome
-            .traffic
-            .as_ref()
-            .map(|t| t.to_trace())
-            .unwrap_or_else(|| ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration));
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::topology_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena. The topology itself is
-    /// still built fresh (its hop vector is small and genome-shaped).
-    fn topology_cfg_reusing(
-        &self,
-        genome: &TopologyGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.topology = Some(genome.to_topology());
-        cfg.cross_traffic = match &genome.traffic {
-            Some(t) => {
-                let mut buf = sim.take_time_buf();
-                buf.extend_from_slice(&t.timestamps);
-                TrafficTrace::new(buf, t.duration)
-            }
-            None => TrafficTrace::empty(genome.duration),
-        };
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    fn topology_specs(
-        &self,
-        genome: &TopologyGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.flow.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.flow.start,
-                stop: f.flow.stop,
-            })
-            .collect()
-    }
-
-    /// [`SimEvaluator::topology_specs`] into the arena's recycled spec buffer.
-    fn fill_topology_specs(
-        &self,
-        genome: &TopologyGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.flows.iter().map(|f| FlowSpec {
-            cc: f.flow.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.flow.start,
-            stop: f.flow.stop,
-        }));
-    }
-
-    fn scenario_cfg(&self, genome: &ScenarioGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = genome
-            .traffic
-            .as_ref()
-            .map(|t| t.to_trace())
-            .unwrap_or_else(|| ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration));
-        cfg.duration = genome.duration;
-        // AQM scenarios carry the gateway in the genome; fairness scenarios
-        // leave it as the campaign configured (drop-tail today).
-        if let Some(gene) = &genome.qdisc {
-            cfg.qdisc = gene.discipline;
-            cfg.ecn_enabled = gene.ecn;
+        if traced {
+            sim.install_tracer(DEFAULT_TRACE_CAPACITY);
         }
-        cfg
+        let result = sim.run();
+        let trace = sim.take_trace();
+        scratch.sim = sim.into_scratch();
+        (result, trace)
     }
 
-    /// [`SimEvaluator::scenario_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena (identical trace content).
-    fn scenario_cfg_reusing(
+    /// Runs a full simulation of `genome`, returning the raw result (used by
+    /// figure binaries and replay, which need the detailed statistics; pass
+    /// `record_events` to keep the event log).
+    pub fn simulate<G: FuzzTarget>(&self, genome: &G, record_events: bool) -> SimResult {
+        self.run(genome, record_events, false, &mut EvalScratch::new())
+            .0
+    }
+
+    /// [`SimEvaluator::simulate`] with reusable simulator storage.
+    pub fn simulate_reusing<G: FuzzTarget>(
         &self,
-        genome: &ScenarioGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = match &genome.traffic {
-            Some(t) => {
-                let mut buf = sim.take_time_buf();
-                buf.extend_from_slice(&t.timestamps);
-                TrafficTrace::new(buf, t.duration)
-            }
-            None => TrafficTrace::empty(genome.duration),
-        };
-        cfg.duration = genome.duration;
-        if let Some(gene) = &genome.qdisc {
-            cfg.qdisc = gene.discipline;
-            cfg.ecn_enabled = gene.ecn;
-        }
-        cfg
+        genome: &G,
+        scratch: &mut EvalScratch,
+    ) -> SimResult {
+        self.run(genome, false, false, scratch).0
     }
 
-    /// The single-flow spec for a prepared configuration, with the CCA under
-    /// test in enum-dispatched form (no virtual calls on the per-ACK path).
-    fn single_flow_spec(&self, cfg: &SimConfig) -> Vec<FlowSpec<CcaDispatch>> {
-        vec![FlowSpec {
-            cc: self.cca.build_dispatch(cfg.initial_cwnd),
-            start: cfg.flow_start,
-            stop: None,
-        }]
+    /// [`SimEvaluator::simulate`] with the structured trace recorder
+    /// installed (event recording on). The tracer never perturbs the run:
+    /// the returned result digests identically to an untraced one.
+    pub fn simulate_traced<G: FuzzTarget>(&self, genome: &G) -> (SimResult, SimTrace) {
+        let (result, trace) = self.run(genome, true, true, &mut EvalScratch::new());
+        (result, trace.expect("tracer installed before run"))
     }
 
-    /// [`SimEvaluator::single_flow_spec`] into the arena's recycled spec
-    /// buffer.
-    fn fill_single_flow_spec(&self, cfg: &SimConfig, specs: &mut Vec<FlowSpec<CcaDispatch>>) {
-        specs.clear();
-        specs.push(FlowSpec {
-            cc: self.cca.build_dispatch(cfg.initial_cwnd),
-            start: cfg.flow_start,
-            stop: None,
-        });
-    }
-
-    fn scenario_specs(
+    /// Scores a finished simulation of `genome` under this evaluator's
+    /// scoring (as adjusted by the genome's [`FuzzTarget::scoring`]).
+    pub fn score<G: FuzzTarget>(
         &self,
-        genome: &ScenarioGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.start,
-                stop: f.stop,
-            })
-            .collect()
+        genome: &G,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        genome.score(
+            &genome.scoring(&self.scoring),
+            self.base.mss,
+            result,
+            scratch,
+        )
     }
 
-    /// [`SimEvaluator::scenario_specs`] into the arena's recycled spec buffer.
-    fn fill_scenario_specs(
-        &self,
-        genome: &ScenarioGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.flows.iter().map(|f| FlowSpec {
-            cc: f.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.start,
-            stop: f.stop,
-        }));
-    }
-
-    /// Runs a full simulation for a traffic genome, returning the raw result
-    /// (used by figure binaries that need the detailed statistics, with event
-    /// recording re-enabled).
+    /// [`SimEvaluator::simulate`] for a traffic genome.
     pub fn simulate_traffic(&self, genome: &TrafficGenome, record_events: bool) -> SimResult {
-        let cfg = self.traffic_cfg(genome, record_events);
-        let specs = self.single_flow_spec(&cfg);
-        Simulation::new_multi(cfg, specs).run()
+        self.simulate(genome, record_events)
     }
 
-    /// [`SimEvaluator::simulate_traffic`] with reusable simulator storage.
+    /// [`SimEvaluator::simulate_reusing`] for a traffic genome.
     pub fn simulate_traffic_reusing(
         &self,
         genome: &TrafficGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        let cfg = self.traffic_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_single_flow_spec(&cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
+        self.simulate_reusing(genome, scratch)
     }
 
-    /// Runs a full simulation for a link genome.
+    /// [`SimEvaluator::simulate`] for a link genome.
     pub fn simulate_link(&self, genome: &LinkGenome, record_events: bool) -> SimResult {
-        let cfg = self.link_cfg(genome, record_events);
-        let specs = self.single_flow_spec(&cfg);
-        Simulation::new_multi(cfg, specs).run()
+        self.simulate(genome, record_events)
     }
 
-    /// [`SimEvaluator::simulate_link`] with reusable simulator storage.
+    /// [`SimEvaluator::simulate_reusing`] for a link genome.
     pub fn simulate_link_reusing(
         &self,
         genome: &LinkGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        let cfg = self.link_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_single_flow_spec(&cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
+        self.simulate_reusing(genome, scratch)
     }
 
-    /// Runs a full multi-flow simulation for a scenario genome: every flow
-    /// gene becomes its own sender with its own enum-dispatched CC instance
-    /// (so mixed-CCA scenarios like BBR vs. Reno work), sharing the
-    /// fixed-rate bottleneck with the optional cross-traffic sub-genome.
+    /// [`SimEvaluator::simulate`] for a scenario genome.
     pub fn simulate_scenario(&self, genome: &ScenarioGenome, record_events: bool) -> SimResult {
-        let cfg = self.scenario_cfg(genome, record_events);
-        let specs = self.scenario_specs(genome, &cfg);
-        Simulation::new_multi(cfg, specs).run()
+        self.simulate(genome, record_events)
     }
 
-    /// [`SimEvaluator::simulate_scenario`] with reusable simulator storage.
+    /// [`SimEvaluator::simulate_reusing`] for a scenario genome.
     pub fn simulate_scenario_reusing(
         &self,
         genome: &ScenarioGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        let cfg = self.scenario_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_scenario_specs(genome, &cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    /// Runs a full multi-hop simulation for a topology genome: the genome's
-    /// hop chain becomes the simulator topology, every flow gene becomes
-    /// its own sender routed over its path, and the optional cross-traffic
-    /// sub-genome injects at the head of the chain.
-    pub fn simulate_topology(&self, genome: &TopologyGenome, record_events: bool) -> SimResult {
-        let cfg = self.topology_cfg(genome, record_events);
-        let specs = self.topology_specs(genome, &cfg);
-        Simulation::new_multi(cfg, specs).run()
-    }
-
-    /// [`SimEvaluator::simulate_topology`] with reusable simulator storage.
-    pub fn simulate_topology_reusing(
-        &self,
-        genome: &TopologyGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.topology_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_topology_specs(genome, &cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    fn workload_cfg(&self, genome: &WorkloadGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg.arrivals = Some(genome.arrivals);
-        cfg
-    }
-
-    /// The static background flows (elephants) of a workload genome, each
-    /// with its own enum-dispatched CC instance.
-    fn workload_specs(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .elephants
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.start,
-                stop: f.stop,
-            })
-            .collect()
-    }
-
-    /// [`SimEvaluator::workload_specs`] into the arena's recycled spec buffer.
-    fn fill_workload_specs(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.elephants.iter().map(|f| FlowSpec {
-            cc: f.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.start,
-            stop: f.stop,
-        }));
-    }
-
-    /// The CCA prototypes dynamic arrivals clone from, one per pool entry.
-    fn fill_workload_protos(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-        protos: &mut Vec<CcaDispatch>,
-    ) {
-        protos.clear();
-        protos.extend(
-            genome
-                .cca_pool
-                .iter()
-                .map(|cca| cca.build_dispatch(cfg.initial_cwnd)),
-        );
-    }
-
-    /// Runs a full dynamic-arrival simulation for a workload genome: the
-    /// elephants become static flows, the arrival genes drive the flow-churn
-    /// engine spawning (and recycling) one dynamic sender per arrival.
-    pub fn simulate_workload(&self, genome: &WorkloadGenome, record_events: bool) -> SimResult {
-        let cfg = self.workload_cfg(genome, record_events);
-        let specs = self.workload_specs(genome, &cfg);
-        let mut protos = Vec::new();
-        self.fill_workload_protos(genome, &cfg, &mut protos);
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_arrivals(&mut protos);
-        sim.run()
-    }
-
-    /// [`SimEvaluator::simulate_workload`] with reusable simulator storage.
-    pub fn simulate_workload_reusing(
-        &self,
-        genome: &WorkloadGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.workload_cfg(genome, false);
-        self.fill_workload_specs(genome, &cfg, &mut scratch.specs);
-        self.fill_workload_protos(genome, &cfg, &mut scratch.protos);
-        run_workload_simulation_pooled(
-            cfg,
-            &mut scratch.specs,
-            &mut scratch.protos,
-            &mut scratch.sim,
-        )
-    }
-
-    /// [`SimEvaluator::simulate_workload`] with the structured trace
-    /// recorder installed (event recording on).
-    pub fn simulate_workload_traced(&self, genome: &WorkloadGenome) -> (SimResult, SimTrace) {
-        let cfg = self.workload_cfg(genome, true);
-        let specs = self.workload_specs(genome, &cfg);
-        let mut protos = Vec::new();
-        self.fill_workload_protos(genome, &cfg, &mut protos);
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_arrivals(&mut protos);
-        sim.install_tracer(DEFAULT_TRACE_CAPACITY);
-        let result = sim.run();
-        let trace = sim.take_trace().expect("tracer installed before run");
-        (result, trace)
-    }
-
-    fn run_traced(cfg: SimConfig, specs: Vec<FlowSpec<CcaDispatch>>) -> (SimResult, SimTrace) {
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_tracer(DEFAULT_TRACE_CAPACITY);
-        let result = sim.run();
-        let trace = sim.take_trace().expect("tracer installed before run");
-        (result, trace)
-    }
-
-    /// [`SimEvaluator::simulate_traffic`] with the structured trace
-    /// recorder installed (event recording on). The tracer never perturbs
-    /// the run: the returned result digests identically to an untraced one.
-    pub fn simulate_traffic_traced(&self, genome: &TrafficGenome) -> (SimResult, SimTrace) {
-        let cfg = self.traffic_cfg(genome, true);
-        let specs = self.single_flow_spec(&cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_link`] with the structured trace recorder.
-    pub fn simulate_link_traced(&self, genome: &LinkGenome) -> (SimResult, SimTrace) {
-        let cfg = self.link_cfg(genome, true);
-        let specs = self.single_flow_spec(&cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_scenario`] with the structured trace recorder.
-    pub fn simulate_scenario_traced(&self, genome: &ScenarioGenome) -> (SimResult, SimTrace) {
-        let cfg = self.scenario_cfg(genome, true);
-        let specs = self.scenario_specs(genome, &cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_topology`] with the structured trace recorder.
-    pub fn simulate_topology_traced(&self, genome: &TopologyGenome) -> (SimResult, SimTrace) {
-        let cfg = self.topology_cfg(genome, true);
-        let specs = self.topology_specs(genome, &cfg);
-        Self::run_traced(cfg, specs)
+        self.simulate_reusing(genome, scratch)
     }
 }
 
-impl SimEvaluator {
-    fn score_traffic(&self, genome: &TrafficGenome, result: &SimResult) -> EvalOutcome {
-        let inputs = TraceScoreInputs {
-            traffic_packets: genome.packet_count(),
-            traffic_max_packets: genome.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        };
-        EvalOutcome::from_result(&self.scoring, result, self.base.mss, Some(inputs))
+impl<G: FuzzTarget> Evaluator<G> for SimEvaluator {
+    fn evaluate(&self, genome: &G) -> EvalOutcome {
+        self.evaluate_reusing(genome, &mut EvalScratch::new())
     }
 
-    fn score_traffic_reusing(
-        &self,
-        genome: &TrafficGenome,
-        result: &SimResult,
-        score: &mut ScoreScratch,
-    ) -> EvalOutcome {
-        let inputs = TraceScoreInputs {
-            traffic_packets: genome.packet_count(),
-            traffic_max_packets: genome.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        };
-        EvalOutcome::from_result_reusing(&self.scoring, result, self.base.mss, Some(inputs), score)
-    }
-}
-
-impl Evaluator<TrafficGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
-        let result = self.simulate_traffic(genome, false);
-        self.score_traffic(genome, &result)
-    }
-
-    fn evaluate_reusing(&self, genome: &TrafficGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_traffic_reusing(genome, scratch);
-        let outcome = self.score_traffic_reusing(genome, &result, &mut scratch.score);
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl Evaluator<LinkGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &LinkGenome) -> EvalOutcome {
-        let result = self.simulate_link(genome, false);
-        EvalOutcome::from_result(&self.scoring, &result, self.base.mss, None)
-    }
-
-    fn evaluate_reusing(&self, genome: &LinkGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_link_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            None,
-            &mut scratch.score,
-        );
+    fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
+        let result = self.simulate_reusing(genome, scratch);
+        let outcome = self.score(genome, &result, &mut scratch.score);
         scratch.sim.recycle_stats(result.stats);
         outcome
     }
 }
 
 impl EvalOutcome {
-    /// Scores a finished multi-flow scenario simulation. The legacy
-    /// per-flow fields of [`EvalOutcome`] describe flow 0 in single-flow
-    /// modes; for scenarios they carry aggregates across all competing
-    /// flows so the outcome (and the behaviour signature built from it)
-    /// reflects the whole scenario. Public so replay/corpus tooling can
-    /// derive the outcome from a [`SimResult`] it already has.
-    pub fn from_scenario_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &ScenarioGenome,
-    ) -> Self {
-        Self::from_scenario_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_scenario_result`] with reusable scoring buffers.
+    /// [`EvalOutcome::from_result_reusing`] for a scenario genome: the
+    /// scenario's own [`FuzzTarget::score`].
     pub fn from_scenario_result_reusing(
         scoring: &ScoringConfig,
         result: &SimResult,
@@ -737,46 +290,7 @@ impl EvalOutcome {
         genome: &ScenarioGenome,
         score: &mut ScoreScratch,
     ) -> Self {
-        let inputs = genome.traffic.as_ref().map(|t| TraceScoreInputs {
-            traffic_packets: t.packet_count(),
-            traffic_max_packets: t.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        });
-        Self::from_multi_flow_result(scoring, result, mss, inputs, score)
-    }
-
-    /// Scores a finished multi-hop topology simulation, aggregating the
-    /// per-flow fields across every flow of the parking lot exactly like
-    /// [`EvalOutcome::from_scenario_result`] does for fairness scenarios.
-    pub fn from_topology_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &TopologyGenome,
-    ) -> Self {
-        Self::from_topology_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_topology_result`] with reusable scoring buffers.
-    pub fn from_topology_result_reusing(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &TopologyGenome,
-        score: &mut ScoreScratch,
-    ) -> Self {
-        let inputs = genome.traffic.as_ref().map(|t| TraceScoreInputs {
-            traffic_packets: t.packet_count(),
-            traffic_max_packets: t.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        });
-        Self::from_multi_flow_result(scoring, result, mss, inputs, score)
+        genome.score(scoring, mss, result, score)
     }
 
     /// Shared multi-flow aggregation: the legacy per-flow fields of
@@ -784,7 +298,7 @@ impl EvalOutcome {
     /// runs they carry aggregates across all competing flows so the outcome
     /// (and the behaviour signature built from it) reflects the whole
     /// scenario.
-    fn from_multi_flow_result(
+    pub(crate) fn from_multi_flow_result(
         scoring: &ScoringConfig,
         result: &SimResult,
         mss: u32,
@@ -818,111 +332,10 @@ impl EvalOutcome {
     }
 }
 
-impl EvalOutcome {
-    /// Scores a finished dynamic-arrival workload simulation. The per-flow
-    /// aggregates cover the static elephants; the churned flows are
-    /// summarised by `result.stats.workload` which the tail-latency
-    /// objective reads directly.
-    pub fn from_workload_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &WorkloadGenome,
-    ) -> Self {
-        Self::from_workload_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_workload_result`] with reusable scoring buffers.
-    pub fn from_workload_result_reusing(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        _genome: &WorkloadGenome,
-        score: &mut ScoreScratch,
-    ) -> Self {
-        // Workload genomes carry no traffic sub-genome: the adversarial
-        // pressure comes from the arrival process itself, so there is no
-        // trace-minimality term to feed the scorer.
-        Self::from_multi_flow_result(scoring, result, mss, None, score)
-    }
-}
-
-impl Evaluator<WorkloadGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &WorkloadGenome) -> EvalOutcome {
-        let result = self.simulate_workload(genome, false);
-        EvalOutcome::from_workload_result(&self.scoring, &result, self.base.mss, genome)
-    }
-
-    fn evaluate_reusing(&self, genome: &WorkloadGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_workload_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_workload_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl Evaluator<ScenarioGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &ScenarioGenome) -> EvalOutcome {
-        let result = self.simulate_scenario(genome, false);
-        EvalOutcome::from_scenario_result(&self.scoring, &result, self.base.mss, genome)
-    }
-
-    fn evaluate_reusing(&self, genome: &ScenarioGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_scenario_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_scenario_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl Evaluator<TopologyGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &TopologyGenome) -> EvalOutcome {
-        let result = self.simulate_topology(genome, false);
-        EvalOutcome::from_topology_result(
-            &self.topology_scoring(genome),
-            &result,
-            self.base.mss,
-            genome,
-        )
-    }
-
-    fn evaluate_reusing(&self, genome: &TopologyGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_topology_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_topology_result_reusing(
-            &self.topology_scoring(genome),
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-use crate::genome::Genome;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadGenome;
     use ccfuzz_netsim::rng::SimRng;
     use ccfuzz_netsim::time::SimDuration;
 
@@ -1039,7 +452,7 @@ mod tests {
             SimDuration::from_secs(2),
             &mut rng,
         );
-        let result = eval.simulate_workload(&genome, false);
+        let result = eval.simulate(&genome, false);
         let w = result.stats.workload().expect("workload stats present");
         assert!(w.spawned > 0, "arrival process must spawn flows");
         let outcome = Evaluator::<WorkloadGenome>::evaluate(&eval, &genome);
@@ -1087,7 +500,7 @@ mod tests {
             SimDuration::from_secs(1),
             &mut rng,
         );
-        let (result, trace) = eval.simulate_workload_traced(&genome);
+        let (result, trace) = eval.simulate_traced(&genome);
         assert!(result.stats.workload().is_some());
         assert!(
             !trace.events.is_empty(),
@@ -1167,7 +580,7 @@ mod tests {
             &[CcaKind::Reno],
             &mut rng,
         );
-        let result = eval.simulate_topology(&genome, false);
+        let result = eval.simulate(&genome, false);
         assert_eq!(result.stats.hop_counters.len(), genome.hop_count());
         assert_eq!(result.stats.flows.len(), genome.flow_count());
         assert!(result.stats.flow().delivered_packets > 0);
@@ -1207,11 +620,15 @@ mod tests {
         }
         // ...must not be rewarded for its low capacity alone: the reference
         // the score normalises by is capped at the chain's bottleneck.
-        assert_eq!(eval.topology_scoring(&genome).reference_rate_bps, 4e6);
+        assert_eq!(genome.scoring(&eval.scoring).reference_rate_bps, 4e6);
         let capped = Evaluator::<TopologyGenome>::evaluate(&eval, &genome);
-        let result = eval.simulate_topology(&genome, false);
-        let uncapped =
-            EvalOutcome::from_topology_result(&eval.scoring, &result, eval.base.mss, &genome);
+        let result = eval.simulate(&genome, false);
+        let uncapped = genome.score(
+            &eval.scoring,
+            eval.base.mss,
+            &result,
+            &mut ScoreScratch::default(),
+        );
         assert!(
             capped.score < uncapped.score,
             "slow-but-healthy chains must not out-score via the fixed \
@@ -1223,7 +640,7 @@ mod tests {
         for hop in &mut genome.hops {
             hop.rate_bps = 20_000_000;
         }
-        assert_eq!(eval.topology_scoring(&genome).reference_rate_bps, 12e6);
+        assert_eq!(genome.scoring(&eval.scoring).reference_rate_bps, 12e6);
     }
 
     #[test]

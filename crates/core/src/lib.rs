@@ -25,6 +25,9 @@
 //! * [`workload`] — dynamic-arrival workload genomes for tail-latency
 //!   fuzzing (arrival process, heavy-tailed flow sizes, concurrency cap,
 //!   background elephant mix).
+//! * [`target`] — the [`FuzzTarget`] trait: one impl per genome type owns
+//!   seeding, scenario construction, scoring and checkpoint wrapping, so
+//!   the campaign, evaluator and corpus layers stay mode-agnostic.
 //! * [`campaign`] — ready-made campaigns matching the paper's evaluation,
 //!   plus the fairness/aqm/topology campaign presets built on the
 //!   multi-flow, multi-hop engine.
@@ -34,6 +37,7 @@
 //! ```no_run
 //! use ccfuzz_core::campaign::{Campaign, FuzzMode};
 //! use ccfuzz_core::fuzzer::GaParams;
+//! use ccfuzz_core::genome::TrafficGenome;
 //! use ccfuzz_cca::CcaKind;
 //! use ccfuzz_netsim::time::SimDuration;
 //!
@@ -43,7 +47,7 @@
 //!     SimDuration::from_secs(5),
 //!     GaParams::quick(),
 //! );
-//! let result = campaign.run_traffic();
+//! let result = campaign.run::<TrafficGenome>();
 //! println!("worst-case goodput found: {:.2} Mbps", result.best_outcome.goodput_bps / 1e6);
 //! ```
 
@@ -60,6 +64,7 @@ pub mod scenario;
 pub mod scoring;
 pub mod selection;
 pub mod shard;
+pub mod target;
 pub mod topology;
 pub mod trace_gen;
 pub mod workload;
@@ -78,5 +83,6 @@ pub use shard::{
     migration_k, shard_ranges, AbsorbResult, GenerationOutcome, MigrantBatch, ShardCoordinator,
     ShardReport, TopStat,
 };
+pub use target::FuzzTarget;
 pub use topology::{HopGene, PathedFlowGene, TopologyGenome};
 pub use workload::WorkloadGenome;

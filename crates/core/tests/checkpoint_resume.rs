@@ -14,6 +14,7 @@ use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
 use ccfuzz_core::fuzzer::{FuzzResult, GaParams, StopReason};
 use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::{LinkGenome, ScenarioGenome, TopologyGenome, TrafficGenome};
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::SimDuration;
 use proptest::prelude::*;
@@ -138,9 +139,11 @@ fn traffic_kill_and_resume_matches_control() {
         SimDuration::from_secs(2),
         tiny_ga(42),
     );
-    let control = c.run_traffic();
+    let control = c.run::<TrafficGenome>();
     let kill = random_kill_generation(42, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_traffic_controlled(None, ctl));
+    let resumed = interrupt_and_resume(&c, kill, |c, ctl| {
+        c.run_controlled::<TrafficGenome>(None, ctl)
+    });
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -156,9 +159,10 @@ fn link_kill_and_resume_matches_control_with_annealing() {
         SimDuration::from_secs(2),
         ga,
     );
-    let control = c.run_link();
+    let control = c.run::<LinkGenome>();
     let kill = random_kill_generation(7, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_link_controlled(None, ctl));
+    let resumed =
+        interrupt_and_resume(&c, kill, |c, ctl| c.run_controlled::<LinkGenome>(None, ctl));
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -169,9 +173,11 @@ fn fairness_kill_and_resume_matches_control() {
         SimDuration::from_secs(2),
         tiny_ga(11),
     );
-    let control = c.run_fairness();
+    let control = c.run::<ScenarioGenome>();
     let kill = random_kill_generation(11, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_fairness_controlled(None, ctl));
+    let resumed = interrupt_and_resume(&c, kill, |c, ctl| {
+        c.run_controlled::<ScenarioGenome>(None, ctl)
+    });
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -183,18 +189,22 @@ fn aqm_kill_and_resume_matches_control() {
         tiny_ga(13),
         QdiscChoice::Any,
     );
-    let control = c.run_aqm();
+    let control = c.run::<ScenarioGenome>();
     let kill = random_kill_generation(13, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_aqm_controlled(None, ctl));
+    let resumed = interrupt_and_resume(&c, kill, |c, ctl| {
+        c.run_controlled::<ScenarioGenome>(None, ctl)
+    });
     assert_same_trajectory(&control, &resumed);
 }
 
 #[test]
 fn topology_kill_and_resume_matches_control() {
     let c = Campaign::paper_topology(CcaKind::Bbr, 3, SimDuration::from_secs(2), tiny_ga(17));
-    let control = c.run_topology();
+    let control = c.run::<TopologyGenome>();
     let kill = random_kill_generation(17, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_topology_controlled(None, ctl));
+    let resumed = interrupt_and_resume(&c, kill, |c, ctl| {
+        c.run_controlled::<TopologyGenome>(None, ctl)
+    });
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -210,10 +220,10 @@ fn resuming_a_completed_checkpoint_reproduces_the_result() {
         tiny_ga(42),
     );
     let done = c
-        .run_traffic_controlled(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
         .unwrap();
     let replayed = c
-        .run_traffic_controlled(
+        .run_controlled::<TrafficGenome>(
             None,
             CampaignControl {
                 resume: Some(SnapshotPayload::Traffic(done.final_snapshot)),
@@ -234,7 +244,7 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let run = traffic
-        .run_traffic_controlled(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
         .unwrap();
     let payload = SnapshotPayload::Traffic(run.final_snapshot.clone());
 
@@ -246,7 +256,7 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let err = link
-        .run_link_controlled(
+        .run_controlled::<LinkGenome>(
             None,
             CampaignControl {
                 resume: Some(payload.clone()),
@@ -260,7 +270,7 @@ fn mismatched_checkpoints_are_rejected() {
     let mut other = traffic.clone();
     other.ga.seed = 999;
     let err = other
-        .run_traffic_controlled(
+        .run_controlled::<TrafficGenome>(
             None,
             CampaignControl {
                 resume: Some(payload),
@@ -288,9 +298,9 @@ proptest! {
             SimDuration::from_secs(1),
             tiny_ga(seed),
         );
-        let control = c.run_traffic();
+        let control = c.run::<TrafficGenome>();
         let resumed =
-            interrupt_and_resume(&c, kill_after, |c, ctl| c.run_traffic_controlled(None, ctl));
+            interrupt_and_resume(&c, kill_after, |c, ctl| c.run_controlled::<TrafficGenome>(None, ctl));
         prop_assert_eq!(&control.best_genome, &resumed.best_genome);
         prop_assert_eq!(
             control.best_outcome.score.to_bits(),

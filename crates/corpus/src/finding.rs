@@ -12,7 +12,8 @@ use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::evaluate::{EvalOutcome, SimEvaluator};
 use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
 use ccfuzz_core::scenario::ScenarioGenome;
-use ccfuzz_core::scoring::{fairness_breakdown, ScoringConfig, TraceScoreInputs};
+use ccfuzz_core::scoring::{fairness_breakdown, ScoreScratch, ScoringConfig};
+use ccfuzz_core::target::FuzzTarget;
 use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_core::workload::WorkloadGenome;
 use ccfuzz_netsim::config::SimConfig;
@@ -35,37 +36,31 @@ pub enum GenomePayload {
 }
 
 impl GenomePayload {
+    /// The modes this payload's genome type serves ([`FuzzTarget::MODES`]).
+    fn modes(&self) -> &'static [FuzzMode] {
+        match self {
+            GenomePayload::Link(_) => LinkGenome::MODES,
+            GenomePayload::Traffic(_) => TrafficGenome::MODES,
+            GenomePayload::Scenario(_) => ScenarioGenome::MODES,
+            GenomePayload::Topology(_) => TopologyGenome::MODES,
+            GenomePayload::Workload(_) => WorkloadGenome::MODES,
+        }
+    }
+
     /// The fuzzing mode this genome belongs to. Scenario genomes serve two
     /// modes (fairness and aqm); this returns the one the payload's own
     /// shape implies, see [`GenomePayload::matches_mode`] for validation.
     pub fn mode(&self) -> FuzzMode {
         match self {
-            GenomePayload::Link(_) => FuzzMode::Link,
-            GenomePayload::Traffic(_) => FuzzMode::Traffic,
-            GenomePayload::Scenario(g) => {
-                if g.qdisc.is_some() {
-                    FuzzMode::Aqm
-                } else {
-                    FuzzMode::Fairness
-                }
-            }
-            GenomePayload::Topology(_) => FuzzMode::Topology,
-            GenomePayload::Workload(_) => FuzzMode::Workload,
+            GenomePayload::Scenario(g) if g.qdisc.is_some() => FuzzMode::Aqm,
+            other => other.modes()[0],
         }
     }
 
     /// `true` when this payload is a legal genome for `mode`: scenario
     /// payloads serve both multi-flow modes, the others are 1:1.
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        match self {
-            GenomePayload::Link(_) => mode == FuzzMode::Link,
-            GenomePayload::Traffic(_) => mode == FuzzMode::Traffic,
-            GenomePayload::Scenario(_) => {
-                matches!(mode, FuzzMode::Fairness | FuzzMode::Aqm)
-            }
-            GenomePayload::Topology(_) => mode == FuzzMode::Topology,
-            GenomePayload::Workload(_) => mode == FuzzMode::Workload,
-        }
+        self.modes().contains(&mode)
     }
 
     /// Number of packets in the genome (cross-traffic packets for
@@ -91,6 +86,49 @@ impl GenomePayload {
         }
     }
 }
+
+macro_rules! genome_payload_from {
+    ($($variant:ident($genome:ty)),*) => {
+        $(impl From<$genome> for GenomePayload {
+            fn from(genome: $genome) -> Self {
+                GenomePayload::$variant(genome)
+            }
+        })*
+    };
+}
+
+genome_payload_from!(
+    Link(LinkGenome),
+    Traffic(TrafficGenome),
+    Scenario(ScenarioGenome),
+    Topology(TopologyGenome),
+    Workload(WorkloadGenome)
+);
+
+/// A computation generic over the fuzz target, run by [`with_target`].
+pub trait TargetVisitor {
+    /// What the computation returns.
+    type Output;
+    /// Runs the computation for genome type `G`.
+    fn visit<G: FuzzTarget + Into<GenomePayload>>(self) -> Self::Output;
+}
+
+/// The corpus's one `FuzzMode` → genome type table: runs `visitor` for the
+/// genome type that serves `mode`. Hunts, distributed hunts and workers all
+/// dispatch through here; a new mode is one row.
+pub fn with_target<V: TargetVisitor>(mode: FuzzMode, visitor: V) -> V::Output {
+    match mode {
+        FuzzMode::Traffic => visitor.visit::<TrafficGenome>(),
+        FuzzMode::Link => visitor.visit::<LinkGenome>(),
+        FuzzMode::Fairness | FuzzMode::Aqm => visitor.visit::<ScenarioGenome>(),
+        FuzzMode::Topology => visitor.visit::<TopologyGenome>(),
+        FuzzMode::Workload => visitor.visit::<WorkloadGenome>(),
+    }
+}
+
+/// What one replay simulation yields: outcome, behaviour digest, per-flow
+/// summary (multi-flow genomes) and the trace (traced replays).
+type Replayed = (EvalOutcome, u64, Option<FairnessSummary>, Option<SimTrace>);
 
 /// Recorded per-flow fairness results of a scenario finding, so reports can
 /// show the flow split without re-simulating.
@@ -276,121 +314,13 @@ impl Finding {
     }
 
     /// Like [`Finding::replay_run`], but the single simulation additionally
-    /// yields the per-flow fairness summary for scenario findings (`None`
+    /// yields the per-flow fairness summary for multi-flow findings (`None`
     /// for single-flow genomes). Simulations dominate the cost of creating,
     /// minimizing and replaying findings, so everything that needs both the
     /// digest and the fairness breakdown goes through here.
     pub fn replay_full(&self, cca: Option<CcaKind>) -> (EvalOutcome, u64, Option<FairnessSummary>) {
-        let mut evaluator = self.evaluator();
-        if let Some(cca) = cca {
-            evaluator.cca = cca;
-        }
-        match &self.genome {
-            GenomePayload::Link(g) => {
-                let result = evaluator.simulate_link(g, false);
-                let outcome =
-                    EvalOutcome::from_result(&evaluator.scoring, &result, evaluator.base.mss, None);
-                (outcome, result.stats.digest(), None)
-            }
-            GenomePayload::Traffic(g) => {
-                let result = evaluator.simulate_traffic(g, false);
-                let inputs = TraceScoreInputs {
-                    traffic_packets: g.packet_count(),
-                    traffic_max_packets: g.max_packets,
-                    traffic_dropped: result.stats.cross_dropped,
-                };
-                let outcome = EvalOutcome::from_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    Some(inputs),
-                );
-                (outcome, result.stats.digest(), None)
-            }
-            GenomePayload::Scenario(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    g.flows[0].cca = cca;
-                }
-                let result = evaluator.simulate_scenario(&g, false);
-                let outcome = EvalOutcome::from_scenario_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g.flows.iter().map(|f| f.cca.name().to_string()).collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-            GenomePayload::Topology(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    g.flows[0].flow.cca = cca;
-                }
-                let result = evaluator.simulate_topology(&g, false);
-                // The same capacity-capped scoring the hunt used, so replay
-                // reproduces the stored score exactly.
-                let outcome = EvalOutcome::from_topology_result(
-                    &evaluator.topology_scoring(&g),
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                // Topology findings reuse the per-flow summary so reports
-                // can show the parking-lot split without re-simulating.
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g
-                        .flows
-                        .iter()
-                        .map(|f| f.flow.cca.name().to_string())
-                        .collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-            GenomePayload::Workload(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    // The override replaces the incumbent elephant's
-                    // algorithm; the arrival pool keeps its mix.
-                    g.elephants[0].cca = cca;
-                }
-                let result = evaluator.simulate_workload(&g, false);
-                let outcome = EvalOutcome::from_workload_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                // Only the static elephants surface per-flow stats (arriving
-                // flows aggregate into the workload block), so the summary
-                // covers exactly the elephant mix.
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g
-                        .elephants
-                        .iter()
-                        .map(|f| f.cca.name().to_string())
-                        .collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-        }
+        let (outcome, digest, fairness, _) = self.replay(cca, false);
+        (outcome, digest, fairness)
     }
 
     /// Like [`Finding::replay_run`], but with the structured trace recorder
@@ -399,60 +329,64 @@ impl Finding {
     /// digest still matches the stored one — `ccfuzz trace` checks this and
     /// the corpus determinism tests pin it for every committed fixture.
     pub fn replay_traced(&self) -> (EvalOutcome, u64, SimTrace) {
-        let evaluator = self.evaluator();
+        let (outcome, digest, _, trace) = self.replay(None, true);
+        (
+            outcome,
+            digest,
+            trace.expect("traced replay records a trace"),
+        )
+    }
+
+    /// Unwraps the stored genome for [`Finding::replay_genome`].
+    fn replay(&self, cca: Option<CcaKind>, traced: bool) -> Replayed {
         match &self.genome {
-            GenomePayload::Link(g) => {
-                let (result, trace) = evaluator.simulate_link_traced(g);
-                let outcome =
-                    EvalOutcome::from_result(&evaluator.scoring, &result, evaluator.base.mss, None);
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Traffic(g) => {
-                let (result, trace) = evaluator.simulate_traffic_traced(g);
-                let inputs = TraceScoreInputs {
-                    traffic_packets: g.packet_count(),
-                    traffic_max_packets: g.max_packets,
-                    traffic_dropped: result.stats.cross_dropped,
-                };
-                let outcome = EvalOutcome::from_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    Some(inputs),
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Scenario(g) => {
-                let (result, trace) = evaluator.simulate_scenario_traced(g);
-                let outcome = EvalOutcome::from_scenario_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Topology(g) => {
-                let (result, trace) = evaluator.simulate_topology_traced(g);
-                let outcome = EvalOutcome::from_topology_result(
-                    &evaluator.topology_scoring(g),
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Workload(g) => {
-                let (result, trace) = evaluator.simulate_workload_traced(g);
-                let outcome = EvalOutcome::from_workload_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
+            GenomePayload::Link(g) => self.replay_genome(g, cca, traced),
+            GenomePayload::Traffic(g) => self.replay_genome(g, cca, traced),
+            GenomePayload::Scenario(g) => self.replay_genome(g, cca, traced),
+            GenomePayload::Topology(g) => self.replay_genome(g, cca, traced),
+            GenomePayload::Workload(g) => self.replay_genome(g, cca, traced),
         }
+    }
+
+    /// One fresh deterministic simulation of `genome`, scored exactly as
+    /// the hunt scored it. For multi-flow genomes the CCA override replaces
+    /// the *primary* flow's algorithm; the competing flows keep theirs.
+    fn replay_genome<G: FuzzTarget>(
+        &self,
+        genome: &G,
+        cca: Option<CcaKind>,
+        traced: bool,
+    ) -> Replayed {
+        let mut evaluator = self.evaluator();
+        let overridden;
+        let genome = match cca {
+            Some(cca) => {
+                evaluator.cca = cca;
+                let mut g = genome.clone();
+                g.set_primary_cca(cca);
+                overridden = g;
+                &overridden
+            }
+            None => genome,
+        };
+        let (result, trace) = if traced {
+            let (result, trace) = evaluator.simulate_traced(genome);
+            (result, Some(trace))
+        } else {
+            (evaluator.simulate(genome, false), None)
+        };
+        let outcome = evaluator.score(genome, &result, &mut ScoreScratch::default());
+        let fairness = genome.flow_ccas().map(|ccas| {
+            let breakdown = fairness_breakdown(&result, evaluator.base.mss);
+            FairnessSummary {
+                per_flow_cca: ccas.iter().map(|c| c.name().to_string()).collect(),
+                per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
+                per_flow_delivered: breakdown.per_flow_delivered,
+                jain_index: breakdown.jain_index,
+                max_starvation_secs: breakdown.max_starvation_secs,
+            }
+        });
+        (outcome, result.stats.digest(), fairness, trace)
     }
 
     /// Re-evaluates the stored genome from scratch (a fresh deterministic
@@ -507,7 +441,7 @@ mod tests {
     #[test]
     fn finding_from_traffic_campaign_is_valid_and_replayable() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>();
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),
@@ -526,7 +460,7 @@ mod tests {
     #[test]
     fn validate_catches_mode_mismatch_and_bad_id() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>();
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),
@@ -544,7 +478,7 @@ mod tests {
     #[test]
     fn evaluate_against_other_cca_differs_in_general() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>();
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),

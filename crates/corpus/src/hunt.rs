@@ -7,13 +7,14 @@ use crate::checkpoint::{
     hunt_config_digest, CampaignCheckpoint, PanicFinding, TelemetryCounters, CHECKPOINT_SCHEMA,
     PANIC_SCHEMA,
 };
-use crate::finding::{Finding, GenomePayload};
+use crate::finding::{with_target, Finding, GenomePayload, TargetVisitor};
 use crate::store::{Corpus, CorpusError, InsertOutcome};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams, StopReason};
+use ccfuzz_core::fuzzer::{GaParams, StopReason};
 use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::target::FuzzTarget;
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
@@ -176,69 +177,35 @@ pub fn hunt_controlled(
     obs: Option<&HuntTelemetry>,
     ctl: HuntControl<'_>,
 ) -> Result<HuntOutcome, CorpusError> {
-    let campaign = config.campaign();
-    match config.mode {
-        FuzzMode::Traffic => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_traffic_controlled(obs, cc),
-            SnapshotPayload::Traffic,
-            GenomePayload::Traffic,
-        ),
-        FuzzMode::Link => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_link_controlled(obs, cc),
-            SnapshotPayload::Link,
-            GenomePayload::Link,
-        ),
-        FuzzMode::Fairness => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_fairness_controlled(obs, cc),
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Aqm => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_aqm_controlled(obs, cc),
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Topology => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_topology_controlled(obs, cc),
-            SnapshotPayload::Topology,
-            GenomePayload::Topology,
-        ),
-        FuzzMode::Workload => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_workload_controlled(obs, cc),
-            SnapshotPayload::Workload,
-            GenomePayload::Workload,
-        ),
+    struct Local<'a, 'c> {
+        corpus: &'a Corpus,
+        config: &'a HuntConfig,
+        obs: Option<&'a HuntTelemetry>,
+        ctl: HuntControl<'c>,
     }
+    impl TargetVisitor for Local<'_, '_> {
+        type Output = Result<HuntOutcome, CorpusError>;
+        fn visit<G: FuzzTarget + Into<GenomePayload>>(self) -> Self::Output {
+            let obs = self.obs;
+            drive(
+                self.corpus,
+                self.config,
+                &self.config.campaign(),
+                obs,
+                self.ctl,
+                |c, cc| c.run_controlled::<G>(obs, cc),
+            )
+        }
+    }
+    with_target(
+        config.mode,
+        Local {
+            corpus,
+            config,
+            obs,
+            ctl,
+        },
+    )
 }
 
 /// The mode-generic half of [`hunt_controlled`]: runs the campaign under
@@ -250,7 +217,6 @@ pub fn hunt_controlled(
 /// same finding construction — with its fleet run plugged in as `run`.
 /// That shared tail is what makes a daemon hunt's payload byte-identical
 /// to `ccfuzz hunt`'s.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<G, RunFn>(
     corpus: &Corpus,
     config: &HuntConfig,
@@ -258,11 +224,9 @@ pub(crate) fn drive<G, RunFn>(
     obs: Option<&HuntTelemetry>,
     ctl: HuntControl<'_>,
     run: RunFn,
-    wrap_snapshot: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
-    wrap_genome: fn(G) -> GenomePayload,
 ) -> Result<HuntOutcome, CorpusError>
 where
-    G: Clone,
+    G: FuzzTarget + Into<GenomePayload>,
     RunFn: FnOnce(&Campaign, CampaignControl<'_>) -> Result<ControlledRun<G>, String>,
 {
     let HuntControl {
@@ -391,7 +355,7 @@ where
                 island: record.island,
                 index: record.index,
                 message: record.message.clone(),
-                genome: wrap_genome(record.genome.clone()),
+                genome: record.genome.clone().into(),
             }
             .write_into(&dir)?;
         }
@@ -403,14 +367,17 @@ where
     let panics = final_snapshot.panics.len() as u64;
     let next_generation = final_snapshot.next_generation;
     let evaluations = final_snapshot.evaluations as u64;
-    persist(wrap_snapshot(final_snapshot), stop == StopReason::Completed)?;
+    persist(
+        G::wrap_snapshot(final_snapshot),
+        stop == StopReason::Completed,
+    )?;
 
     match stop {
         StopReason::Completed => {
             let _timer = obs.map(|o| o.profiler.scope(Phase::CorpusIo));
             let finding = Finding::from_campaign(
                 campaign,
-                wrap_genome(result.best_genome),
+                result.best_genome.into(),
                 result.best_outcome,
                 result.total_evaluations as u64,
             );

@@ -38,6 +38,10 @@ use std::io::{self, Read, Write};
 /// this guards against a corrupt length prefix allocating the moon.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
 
+/// Frame bodies are read in chunks of at most this many bytes, so the
+/// allocation tracks the bytes received, not the claimed length.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Worker → coordinator handshake; identifies which shard connected.
 pub const HELLO: &str = "hello";
 /// Coordinator → worker: campaign config and island range assignment.
@@ -97,8 +101,14 @@ pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, Value)> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // Grow the body as bytes arrive rather than trusting the prefix: a
+    // peer that announces a huge frame and hangs up costs one chunk.
+    let mut buf = Vec::new();
+    while buf.len() < len {
+        let start = buf.len();
+        buf.resize(start + (len - start).min(READ_CHUNK_BYTES), 0);
+        r.read_exact(&mut buf[start..])?;
+    }
     let text = String::from_utf8(buf).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,

@@ -16,6 +16,7 @@
 //! therefore always told a generation for which its checkpoint file exists.
 
 use crate::checkpoint::hunt_config_digest;
+use crate::finding::{with_target, GenomePayload, TargetVisitor};
 use crate::hunt::HuntConfig;
 use crate::proto::Hello;
 use crate::proto::{
@@ -23,12 +24,11 @@ use crate::proto::{
     ASSIGN, CHECKPOINT_DONE, EVALUATE, FATAL, FINAL, FINISH, HELLO, INBOUND, MIGRANTS, PROCEED,
     REPORT,
 };
-use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_core::checkpoint::SnapshotPayload;
 use ccfuzz_core::evaluate::SimEvaluator;
 use ccfuzz_core::fuzzer::{Fuzzer, FuzzerSnapshot};
-use ccfuzz_core::genome::Genome;
 use ccfuzz_core::shard::MigrantBatch;
+use ccfuzz_core::target::FuzzTarget;
 use ccfuzz_obs::{write_atomic, HuntTelemetry};
 use serde::{Deserialize, Serialize};
 use std::net::TcpStream;
@@ -177,50 +177,35 @@ fn serve_coordinator(stream: &mut TcpStream, worker: usize) -> Result<(), String
             assign.worker
         ));
     }
-    let campaign = assign.config.campaign();
-    // Per-mode dispatch mirrors `hunt_controlled`: the evaluator and the
-    // worker-local telemetry must outlive the fuzzer borrowing them.
-    let telemetry = HuntTelemetry::new();
-    let evaluator = campaign.evaluator();
-    match assign.config.mode {
-        FuzzMode::Traffic => {
-            let resume = load_resume(&assign, SnapshotPayload::into_traffic)?;
-            let fuzzer = campaign.build_traffic_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Traffic)
-        }
-        FuzzMode::Link => {
-            let resume = load_resume(&assign, SnapshotPayload::into_link)?;
-            let fuzzer = campaign.build_link_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Link)
-        }
-        FuzzMode::Fairness => {
-            let resume = load_resume(&assign, SnapshotPayload::into_scenario)?;
-            let fuzzer = campaign.build_fairness_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Scenario)
-        }
-        FuzzMode::Aqm => {
-            let resume = load_resume(&assign, SnapshotPayload::into_scenario)?;
-            let fuzzer = campaign.build_aqm_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Scenario)
-        }
-        FuzzMode::Topology => {
-            let resume = load_resume(&assign, SnapshotPayload::into_topology)?;
-            let fuzzer = campaign.build_topology_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Topology)
-        }
-        FuzzMode::Workload => {
-            let resume = load_resume(&assign, SnapshotPayload::into_workload)?;
-            let fuzzer = campaign.build_workload_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Workload)
+    struct Serve<'s> {
+        stream: &'s mut TcpStream,
+        assign: &'s Assign,
+    }
+    impl TargetVisitor for Serve<'_> {
+        type Output = Result<(), String>;
+        fn visit<G: FuzzTarget + Into<GenomePayload>>(self) -> Self::Output {
+            let campaign = self.assign.config.campaign();
+            // The evaluator and the worker-local telemetry must outlive the
+            // fuzzer borrowing them.
+            let telemetry = HuntTelemetry::new();
+            let evaluator = campaign.evaluator();
+            let resume = load_resume::<G>(self.assign)?;
+            let fuzzer = campaign.build_fuzzer(&evaluator, resume, Some(&telemetry))?;
+            shard_loop(self.stream, self.assign, fuzzer)
         }
     }
+    let mode = assign.config.mode;
+    with_target(
+        mode,
+        Serve {
+            stream,
+            assign: &assign,
+        },
+    )
 }
 
 /// Loads the committed worker checkpoint named by the assignment, if any.
-fn load_resume<G>(
-    assign: &Assign,
-    unwrap: fn(SnapshotPayload) -> Result<FuzzerSnapshot<G>, String>,
-) -> Result<Option<FuzzerSnapshot<G>>, String> {
+fn load_resume<G: FuzzTarget>(assign: &Assign) -> Result<Option<FuzzerSnapshot<G>>, String> {
     let Some(generation) = assign.resume_generation else {
         return Ok(None);
     };
@@ -233,20 +218,15 @@ fn load_resume<G>(
         &assign.config,
         generation,
     )?;
-    Ok(Some(unwrap(ck.state)?))
+    Ok(Some(G::unwrap_snapshot(ck.state)?))
 }
 
 /// The worker's reactive generation loop: everything after the assignment.
-fn shard_loop<G>(
+fn shard_loop<G: FuzzTarget>(
     stream: &mut TcpStream,
     assign: &Assign,
     mut fuzzer: Fuzzer<'_, G, SimEvaluator>,
-    wrap: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
-) -> Result<(), String>
-where
-    G: Genome + Serialize + Deserialize,
-    SimEvaluator: ccfuzz_core::evaluate::Evaluator<G>,
-{
+) -> Result<(), String> {
     let (start, end) = (assign.island_start, assign.island_end);
     let dir = PathBuf::from(&assign.checkpoint_dir);
     loop {
@@ -288,7 +268,7 @@ where
                         n_workers: assign.n_workers,
                         config_digest: hunt_config_digest(&assign.config),
                         generation: boundary,
-                        state: wrap(fuzzer.snapshot()),
+                        state: G::wrap_snapshot(fuzzer.snapshot()),
                     }
                     .write_into(&dir)?;
                     send_frame(
@@ -304,7 +284,7 @@ where
             FINISH => {
                 let msg: Finish = decode(&kind, &body)?;
                 fuzzer.set_next_generation(msg.next_generation);
-                send_frame(stream, FINAL, &wrap(fuzzer.snapshot()))
+                send_frame(stream, FINAL, &G::wrap_snapshot(fuzzer.snapshot()))
                     .map_err(|e| format!("sending final snapshot: {e}"))?;
                 return Ok(());
             }
@@ -319,6 +299,7 @@ mod tests {
     use ccfuzz_cca::CcaKind;
     use ccfuzz_core::campaign::FuzzMode;
     use ccfuzz_core::checkpoint::CampaignControl;
+    use ccfuzz_core::genome::TrafficGenome;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -342,7 +323,7 @@ mod tests {
     fn snapshot_for(config: &HuntConfig) -> SnapshotPayload {
         let run = config
             .campaign()
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
             .unwrap();
         SnapshotPayload::Traffic(run.final_snapshot)
     }

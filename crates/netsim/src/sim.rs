@@ -524,20 +524,8 @@ impl<C: CongestionControl> Simulation<C> {
 
     /// Builds a simulation with N concurrent congestion-controlled flows
     /// sharing the bottleneck. Flow indices follow the order of `specs`.
-    pub fn new_multi(cfg: SimConfig, specs: Vec<FlowSpec<C>>) -> Self {
-        Self::new_multi_with_scratch(cfg, specs, SimScratch::default())
-    }
-
-    /// Like [`Simulation::new_multi`], but adopts previously used calendar
-    /// and pool storage so repeated evaluations skip those allocations.
-    /// Reclaim the storage with [`Simulation::into_scratch`] after the run.
-    pub fn new_multi_with_scratch(
-        cfg: SimConfig,
-        specs: Vec<FlowSpec<C>>,
-        scratch: SimScratch<C>,
-    ) -> Self {
-        let mut specs = specs;
-        Self::new_multi_reusing(cfg, &mut specs, scratch)
+    pub fn new_multi(cfg: SimConfig, mut specs: Vec<FlowSpec<C>>) -> Self {
+        Self::new_multi_reusing(cfg, &mut specs, SimScratch::default())
     }
 
     /// The fully pooled constructor: drains `specs` (leaving the caller's
@@ -1738,18 +1726,6 @@ pub fn run_multi_flow_simulation<C: CongestionControl>(
     Simulation::new_multi(cfg, specs).run()
 }
 
-/// Build and run a multi-flow simulation, recycling `scratch`'s calendar and
-/// pool storage. The result is bit-identical to [`run_multi_flow_simulation`];
-/// only the allocation behaviour differs.
-pub fn run_multi_flow_simulation_reusing<C: CongestionControl>(
-    cfg: SimConfig,
-    specs: Vec<FlowSpec<C>>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut specs = specs;
-    run_multi_flow_simulation_pooled(cfg, &mut specs, scratch)
-}
-
 /// The fully pooled entry point of the batch evaluator: drains `specs`
 /// (keeping the caller's vector and its capacity) and recycles every other
 /// heap structure through `scratch`, so a warm worker builds and runs the
@@ -1868,11 +1844,9 @@ mod tests {
         let mut scratch = SimScratch::new();
         let fresh = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
         for _ in 0..3 {
-            let reused = run_multi_flow_simulation_reusing(
-                base_cfg(),
-                vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))],
-                &mut scratch,
-            );
+            let mut specs = vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))];
+            let reused = run_multi_flow_simulation_pooled(base_cfg(), &mut specs, &mut scratch);
+            assert!(specs.is_empty(), "the pooled run drains the specs");
             assert_eq!(fresh.stats.digest(), reused.stats.digest());
             assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
         }

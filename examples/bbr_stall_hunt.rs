@@ -12,6 +12,7 @@ use cc_fuzz::analysis::report::{
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::GaParams;
+use cc_fuzz::fuzz::TrafficGenome;
 use cc_fuzz::netsim::time::SimDuration;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
         "fuzzing BBR with cross-traffic patterns ({} simulations per generation)...",
         campaign.ga.total_population()
     );
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
 
     println!(
         "\nbest trace: {} cross-traffic packets, BBR goodput {:.2} Mbps (score {:.3})",

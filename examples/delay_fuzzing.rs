@@ -11,6 +11,7 @@ use cc_fuzz::analysis::plot::{ascii_chart, to_csv};
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::GaParams;
+use cc_fuzz::fuzz::TrafficGenome;
 use cc_fuzz::netsim::time::SimDuration;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
     let campaign = Campaign::paper_high_delay(FuzzMode::Traffic, CcaKind::Bbr, duration, ga);
 
     println!("traffic fuzzing vs BBR with the high-delay objective (p10 queuing delay)...");
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     println!(
         "best trace: {} cross-traffic packets, p10-delay score {:.3}",
         result.best_genome.timestamps.len(),

@@ -15,6 +15,7 @@ use cc_fuzz::fuzz::campaign::Campaign;
 use cc_fuzz::fuzz::genome::Genome;
 use cc_fuzz::fuzz::scoring::fairness_breakdown;
 use cc_fuzz::fuzz::GaParams;
+use cc_fuzz::fuzz::ScenarioGenome;
 use cc_fuzz::netsim::time::SimDuration;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     );
 
     // 2. Run the genetic algorithm over scenario genomes.
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>();
     for summary in &result.history {
         println!(
             "gen {:>3}: best unfairness {:.3}, mean {:.3}",

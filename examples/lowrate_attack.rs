@@ -28,7 +28,7 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
 
     println!("fuzzing Reno for low throughput...");
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     let evaluator = campaign.evaluator();
     let evolved = evaluator.simulate_traffic(&result.best_genome, true);
 

@@ -9,6 +9,7 @@ use cc_fuzz::analysis::report::one_line_summary;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::GaParams;
+use cc_fuzz::fuzz::TrafficGenome;
 use cc_fuzz::netsim::time::SimDuration;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
     );
 
     // 2. Run the genetic algorithm.
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     for summary in &result.history {
         println!(
             "gen {:>3}: best score {:.3}, mean score {:.3}, top-{} mean delivered {:>6.0} pkts",

@@ -14,7 +14,7 @@ use cc_fuzz::corpus::report::corpus_report;
 use cc_fuzz::corpus::store::{Corpus, CorpusConfig, InsertOutcome};
 use cc_fuzz::fuzz::campaign::FuzzMode;
 use cc_fuzz::fuzz::evaluate::{EvalOutcome, EvalScratch, Evaluator, SimEvaluator};
-use cc_fuzz::netsim::sim::SimResult;
+use cc_fuzz::fuzz::FuzzTarget;
 use cc_fuzz::netsim::time::SimDuration;
 use std::path::PathBuf;
 
@@ -294,26 +294,21 @@ fn fixture_corpus_replays_without_drift() {
 
 /// A cold `evaluate` and a warm `evaluate_reusing` of one genome, each with
 /// the behaviour digest of the simulation it scored.
-fn cold_and_warm<G>(
+fn cold_and_warm<G: FuzzTarget>(
     ev: &SimEvaluator,
     genome: &G,
     scratch: &mut EvalScratch,
-    simulate: fn(&SimEvaluator, &G, bool) -> SimResult,
-    simulate_reusing: fn(&SimEvaluator, &G, &mut EvalScratch) -> SimResult,
-) -> [(EvalOutcome, u64); 2]
-where
-    SimEvaluator: Evaluator<G>,
-{
+) -> [(EvalOutcome, u64); 2] {
     let cold = (
         ev.evaluate(genome),
-        simulate(ev, genome, false).stats.digest(),
+        ev.simulate(genome, false).stats.digest(),
     );
     // The scratch has already served earlier fixtures (other modes too);
     // one more pass makes sure this genome's own buffers are warm.
     ev.evaluate_reusing(genome, scratch);
     let warm = (
         ev.evaluate_reusing(genome, scratch),
-        simulate_reusing(ev, genome, scratch).stats.digest(),
+        ev.simulate_reusing(genome, scratch).stats.digest(),
     );
     [cold, warm]
 }
@@ -342,41 +337,11 @@ fn traced_replay_is_passive_on_every_fixture() {
         let (outcome, digest, trace) = finding.replay_traced();
         let ev = finding.evaluator();
         let paths = match &finding.genome {
-            GenomePayload::Traffic(g) => cold_and_warm(
-                &ev,
-                g,
-                &mut scratch,
-                SimEvaluator::simulate_traffic,
-                SimEvaluator::simulate_traffic_reusing,
-            ),
-            GenomePayload::Link(g) => cold_and_warm(
-                &ev,
-                g,
-                &mut scratch,
-                SimEvaluator::simulate_link,
-                SimEvaluator::simulate_link_reusing,
-            ),
-            GenomePayload::Scenario(g) => cold_and_warm(
-                &ev,
-                g,
-                &mut scratch,
-                SimEvaluator::simulate_scenario,
-                SimEvaluator::simulate_scenario_reusing,
-            ),
-            GenomePayload::Topology(g) => cold_and_warm(
-                &ev,
-                g,
-                &mut scratch,
-                SimEvaluator::simulate_topology,
-                SimEvaluator::simulate_topology_reusing,
-            ),
-            GenomePayload::Workload(g) => cold_and_warm(
-                &ev,
-                g,
-                &mut scratch,
-                SimEvaluator::simulate_workload,
-                SimEvaluator::simulate_workload_reusing,
-            ),
+            GenomePayload::Traffic(g) => cold_and_warm(&ev, g, &mut scratch),
+            GenomePayload::Link(g) => cold_and_warm(&ev, g, &mut scratch),
+            GenomePayload::Scenario(g) => cold_and_warm(&ev, g, &mut scratch),
+            GenomePayload::Topology(g) => cold_and_warm(&ev, g, &mut scratch),
+            GenomePayload::Workload(g) => cold_and_warm(&ev, g, &mut scratch),
         };
         for (path, (scored, scored_digest)) in ["evaluate", "evaluate_reusing"].iter().zip(paths) {
             assert_eq!(scored, outcome, "{}: {path} vs traced outcome", finding.id);

@@ -6,6 +6,7 @@ use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::genome::{Genome, TrafficGenome};
 use cc_fuzz::fuzz::GaParams;
+use cc_fuzz::fuzz::{LinkGenome, ScenarioGenome};
 use cc_fuzz::netsim::time::SimDuration;
 
 fn small_ga(seed: u64, generations: u32) -> GaParams {
@@ -22,7 +23,7 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(5, 8));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
 
     // Baseline: Reno with no cross traffic.
     let empty = TrafficGenome {
@@ -54,7 +55,7 @@ fn fitness_improves_over_generations() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(6, 10));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     let first = result.history.first().unwrap().best_score;
     let last = result.history.last().unwrap().best_score;
     assert!(
@@ -76,7 +77,7 @@ fn link_fuzzing_finds_service_curves_that_hurt_reno() {
     let mut ga = small_ga(9, 8);
     ga.anneal = true;
     let campaign = Campaign::paper_standard(FuzzMode::Link, CcaKind::Reno, duration, ga);
-    let result = campaign.run_link();
+    let result = campaign.run::<LinkGenome>();
     // The evolved 12 Mbps-average service curve must hurt Reno noticeably
     // compared to a smooth 12 Mbps link.
     assert!(
@@ -101,7 +102,7 @@ fn campaigns_are_reproducible_from_their_seed() {
         let mut ga = small_ga(42, 4);
         ga.threads = threads;
         let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>();
         (
             result.best_genome.timestamps.clone(),
             result.best_outcome,
@@ -123,7 +124,7 @@ fn fairness_campaign_finds_unfair_multi_flow_scenarios() {
     ga.islands = 2;
     ga.population_per_island = 4;
     let campaign = Campaign::paper_fairness(vec![CcaKind::Bbr, CcaKind::Reno], duration, ga);
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>();
     result.best_genome.validate().unwrap();
     assert!(result.best_genome.flow_count() >= 2);
 
@@ -165,7 +166,7 @@ fn trace_minimality_pressure_keeps_traffic_small() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(13, 10));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>();
     assert!(
         result.best_genome.packet_count() < campaign.traffic_max_packets,
         "minimality pressure should keep the trace below the cap ({} vs {})",

@@ -214,7 +214,7 @@ fn multi_bbr_fairness_digest_matches_recorded_constant() {
 #[test]
 fn workload_digest_matches_recorded_constant() {
     let (campaign, genome) = workload();
-    let result = campaign.evaluator().simulate_workload(&genome, false);
+    let result = campaign.evaluator().simulate(&genome, false);
     assert!(result.stats.workload().is_some_and(|w| w.spawned > 0));
     assert_eq!(
         result.stats.digest(),
