@@ -7,10 +7,9 @@
 //! examples and the integration tests all go through this module so the
 //! experiment definitions live in exactly one place.
 
-use crate::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use crate::evaluate::{Evaluator, SimEvaluator};
+use crate::checkpoint::{CampaignControl, ControlledRun};
+use crate::evaluate::SimEvaluator;
 use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, RunControl};
-use crate::genome::Genome;
 use crate::scenario::QdiscChoice;
 use crate::scoring::ScoringConfig;
 use crate::target::FuzzTarget;
@@ -292,7 +291,7 @@ impl Campaign {
         let evaluator = self.evaluator();
         let resume = ctl.resume.take().map(G::unwrap_snapshot).transpose()?;
         let fuzzer = self.build_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, G::wrap_snapshot))
+        Ok(drive(fuzzer, &mut ctl))
     }
 
     /// Builds this campaign's fuzzer — fresh from the campaign seed, or
@@ -306,15 +305,21 @@ impl Campaign {
         resume: Option<FuzzerSnapshot<G>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, G, SimEvaluator>, String> {
-        assert!(G::MODES.contains(&self.mode), "campaign is {}", {
+        if !G::MODES.contains(&self.mode) {
             let not_in: Vec<String> = G::MODES
                 .iter()
                 .map(|m| format!("not in {} mode", m.name()))
                 .collect();
-            not_in.join(" and ")
-        });
+            panic!("campaign is {}", not_in.join(" and "));
+        }
         let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
+            // A checkpoint only resumes the campaign it was taken from.
+            Some(snapshot) if snapshot.params != self.ga => {
+                return Err(
+                    "checkpoint GA parameters do not match the campaign's configuration".into(),
+                );
+            }
+            Some(snapshot) => Fuzzer::restore(evaluator, snapshot)?,
             None => {
                 let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
                 Fuzzer::new(self.ga, evaluator, |rng: &mut SimRng| G::seed(self, rng))
@@ -328,33 +333,17 @@ impl Campaign {
         }
         Ok(fuzzer)
     }
-
-    /// Restores a fuzzer from a checkpoint snapshot, refusing checkpoints
-    /// whose GA parameters do not match this campaign's.
-    fn restore_fuzzer<'e, G: Genome, E: Evaluator<G>>(
-        &self,
-        evaluator: &'e E,
-        snapshot: FuzzerSnapshot<G>,
-    ) -> Result<Fuzzer<'e, G, E>, String> {
-        if snapshot.params != self.ga {
-            return Err(
-                "checkpoint GA parameters do not match the campaign's configuration".into(),
-            );
-        }
-        Fuzzer::restore(evaluator, snapshot)
-    }
 }
 
 /// Runs a prepared fuzzer under the campaign control plane, wrapping each
 /// checkpoint snapshot into the mode-erased payload.
-fn drive<G: Genome, E: Evaluator<G>>(
-    mut fuzzer: Fuzzer<'_, G, E>,
+fn drive<G: FuzzTarget>(
+    mut fuzzer: Fuzzer<'_, G, SimEvaluator>,
     ctl: &mut CampaignControl<'_>,
-    wrap: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
 ) -> ControlledRun<G> {
     let (result, stop) = match ctl.on_checkpoint.as_deref_mut() {
         Some(sink) => {
-            let mut forward = |snapshot: FuzzerSnapshot<G>| sink(wrap(snapshot));
+            let mut forward = |snapshot: FuzzerSnapshot<G>| sink(G::wrap_snapshot(snapshot));
             fuzzer.run_controlled(&mut RunControl {
                 shutdown: ctl.shutdown,
                 checkpoint_every: ctl.checkpoint_every,
@@ -395,7 +384,7 @@ pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::{LinkGenome, TrafficGenome};
+    use crate::genome::{Genome, LinkGenome, TrafficGenome};
     use crate::scenario::ScenarioGenome;
     use crate::topology::TopologyGenome;
     use crate::workload::WorkloadGenome;

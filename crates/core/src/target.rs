@@ -4,14 +4,14 @@
 //! simulator runs it, a score comes back. What differs between modes is
 //! owned by one [`FuzzTarget`] impl per genome type:
 //!
-//! | mode       | genome             | scenario it builds                     |
-//! |------------|--------------------|----------------------------------------|
-//! | `traffic`  | [`TrafficGenome`]  | cross traffic over the fixed link      |
-//! | `link`     | [`LinkGenome`]     | trace-driven bottleneck service curve  |
-//! | `fairness` | [`ScenarioGenome`] | N scheduled flows (+ cross traffic)    |
-//! | `aqm`      | [`ScenarioGenome`] | as fairness, plus an evolved qdisc     |
-//! | `topology` | [`TopologyGenome`] | multi-hop chain with per-flow paths    |
-//! | `workload` | [`WorkloadGenome`] | dynamic arrivals + background elephants|
+//! | mode | genome | scenario it builds |
+//! |---|---|---|
+//! | `traffic` | [`TrafficGenome`] | cross traffic over the fixed link |
+//! | `link` | [`LinkGenome`] | trace-driven bottleneck service curve |
+//! | `fairness` | [`ScenarioGenome`] | N scheduled flows (+ cross traffic) |
+//! | `aqm` | [`ScenarioGenome`] | as fairness, plus an evolved qdisc |
+//! | `topology` | [`TopologyGenome`] | multi-hop chain with per-flow paths |
+//! | `workload` | [`WorkloadGenome`] | dynamic arrivals + background elephants |
 //!
 //! [`crate::campaign::Campaign`], [`SimEvaluator`] and the corpus layer are
 //! generic over `FuzzTarget`; none of them branches on the mode.
@@ -90,11 +90,25 @@ pub trait FuzzTarget: Genome + Serialize + Deserialize {
     fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String>;
 }
 
-fn mismatch(got: &SnapshotPayload, wanted: &str) -> String {
-    format!(
-        "checkpoint holds a {} population, cannot resume a {wanted} campaign",
-        got.kind_name()
-    )
+/// The `wrap_snapshot`/`unwrap_snapshot` pair of a genome type stored in
+/// `SnapshotPayload::$variant`; `$kind` names it in mismatch errors.
+macro_rules! snapshot_variant {
+    ($variant:ident, $kind:literal) => {
+        fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+            SnapshotPayload::$variant(snapshot)
+        }
+
+        fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+            match payload {
+                SnapshotPayload::$variant(s) => Ok(s),
+                other => Err(format!(
+                    "checkpoint holds a {} population, cannot resume a {} campaign",
+                    other.kind_name(),
+                    $kind
+                )),
+            }
+        }
+    };
 }
 
 /// `traffic` in a recycled timestamp buffer, or an empty trace.
@@ -173,16 +187,7 @@ impl FuzzTarget for TrafficGenome {
         EvalOutcome::from_result_reusing(scoring, result, mss, inputs, scratch)
     }
 
-    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
-        SnapshotPayload::Traffic(snapshot)
-    }
-
-    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
-        match payload {
-            SnapshotPayload::Traffic(s) => Ok(s),
-            other => Err(mismatch(&other, "traffic")),
-        }
-    }
+    snapshot_variant!(Traffic, "traffic");
 }
 
 impl FuzzTarget for LinkGenome {
@@ -223,16 +228,7 @@ impl FuzzTarget for LinkGenome {
         EvalOutcome::from_result_reusing(scoring, result, mss, None, scratch)
     }
 
-    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
-        SnapshotPayload::Link(snapshot)
-    }
-
-    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
-        match payload {
-            SnapshotPayload::Link(s) => Ok(s),
-            other => Err(mismatch(&other, "link")),
-        }
-    }
+    snapshot_variant!(Link, "link");
 }
 
 /// Fairness and AQM campaigns are two parameterisations of one scenario
@@ -294,16 +290,7 @@ impl FuzzTarget for ScenarioGenome {
         Some(self.flows.iter().map(|f| f.cca).collect())
     }
 
-    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
-        SnapshotPayload::Scenario(snapshot)
-    }
-
-    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
-        match payload {
-            SnapshotPayload::Scenario(s) => Ok(s),
-            other => Err(mismatch(&other, "scenario")),
-        }
-    }
+    snapshot_variant!(Scenario, "scenario");
 }
 
 impl FuzzTarget for TopologyGenome {
@@ -363,16 +350,7 @@ impl FuzzTarget for TopologyGenome {
         Some(self.flows.iter().map(|f| f.flow.cca).collect())
     }
 
-    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
-        SnapshotPayload::Topology(snapshot)
-    }
-
-    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
-        match payload {
-            SnapshotPayload::Topology(s) => Ok(s),
-            other => Err(mismatch(&other, "topology")),
-        }
-    }
+    snapshot_variant!(Topology, "topology");
 }
 
 impl FuzzTarget for WorkloadGenome {
@@ -425,14 +403,5 @@ impl FuzzTarget for WorkloadGenome {
         Some(self.elephants.iter().map(|f| f.cca).collect())
     }
 
-    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
-        SnapshotPayload::Workload(snapshot)
-    }
-
-    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
-        match payload {
-            SnapshotPayload::Workload(s) => Ok(s),
-            other => Err(mismatch(&other, "workload")),
-        }
-    }
+    snapshot_variant!(Workload, "workload");
 }

@@ -38,8 +38,8 @@ use std::io::{self, Read, Write};
 /// this guards against a corrupt length prefix allocating the moon.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
 
-/// Frame bodies are read in chunks of at most this many bytes, so the
-/// allocation tracks the bytes received, not the claimed length.
+/// The first chunk a frame body is read into; later reads double it, so
+/// the allocation tracks the bytes received, not the claimed length.
 const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Worker → coordinator handshake; identifies which shard connected.
@@ -102,11 +102,14 @@ pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, Value)> {
         ));
     }
     // Grow the body as bytes arrive rather than trusting the prefix: a
-    // peer that announces a huge frame and hangs up costs one chunk.
+    // peer that announces a huge frame and hangs up costs one chunk. The
+    // buffer doubles per read, capped at exactly the claimed length.
     let mut buf = Vec::new();
     while buf.len() < len {
         let start = buf.len();
-        buf.resize(start + (len - start).min(READ_CHUNK_BYTES), 0);
+        let end = len.min((2 * start).max(start + READ_CHUNK_BYTES));
+        buf.reserve_exact(end - start);
+        buf.resize(end, 0);
         r.read_exact(&mut buf[start..])?;
     }
     let text = String::from_utf8(buf).map_err(|e| {
@@ -229,6 +232,9 @@ mod tests {
             checkpoint: false,
         };
         send_frame(&mut buf, PROCEED, &proceed).unwrap();
+        // A body spanning several read chunks reassembles byte for byte.
+        let large: Vec<u64> = (0..100_000).collect();
+        send_frame(&mut buf, FINAL, &large).unwrap();
 
         let mut cursor = Cursor::new(buf);
         let (kind, body) = recv_frame(&mut cursor).unwrap();
@@ -237,6 +243,9 @@ mod tests {
         let (kind, body) = recv_frame(&mut cursor).unwrap();
         assert_eq!(kind, PROCEED);
         assert_eq!(decode::<Proceed>(&kind, &body).unwrap(), proceed);
+        let (kind, body) = recv_frame(&mut cursor).unwrap();
+        assert_eq!(kind, FINAL);
+        assert_eq!(decode::<Vec<u64>>(&kind, &body).unwrap(), large);
         // The stream is fully drained: the next read reports EOF, which is
         // exactly the signal the supervisor treats as worker death.
         let err = recv_frame(&mut cursor).unwrap_err();

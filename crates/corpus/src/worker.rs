@@ -194,9 +194,8 @@ fn serve_coordinator(stream: &mut TcpStream, worker: usize) -> Result<(), String
             shard_loop(self.stream, self.assign, fuzzer)
         }
     }
-    let mode = assign.config.mode;
     with_target(
-        mode,
+        assign.config.mode,
         Serve {
             stream,
             assign: &assign,
