@@ -35,6 +35,20 @@ pub enum SnapshotPayload {
     Workload(FuzzerSnapshot<WorkloadGenome>),
 }
 
+/// Evaluates `$body` with `$s` bound to the wrapped snapshot, whatever its
+/// genome type.
+macro_rules! each_snapshot {
+    ($payload:expr, $s:ident => $body:expr) => {
+        match $payload {
+            SnapshotPayload::Traffic($s) => $body,
+            SnapshotPayload::Link($s) => $body,
+            SnapshotPayload::Scenario($s) => $body,
+            SnapshotPayload::Topology($s) => $body,
+            SnapshotPayload::Workload($s) => $body,
+        }
+    };
+}
+
 impl SnapshotPayload {
     /// Short payload-kind name for error messages.
     pub fn kind_name(&self) -> &'static str {
@@ -50,70 +64,36 @@ impl SnapshotPayload {
     /// Whether this payload can resume a campaign of the given mode
     /// ([`FuzzTarget::MODES`] of its genome type).
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        let modes = match self {
-            SnapshotPayload::Traffic(_) => TrafficGenome::MODES,
-            SnapshotPayload::Link(_) => LinkGenome::MODES,
-            SnapshotPayload::Scenario(_) => ScenarioGenome::MODES,
-            SnapshotPayload::Topology(_) => TopologyGenome::MODES,
-            SnapshotPayload::Workload(_) => WorkloadGenome::MODES,
-        };
-        modes.contains(&mode)
+        fn modes<G: FuzzTarget>(_: &FuzzerSnapshot<G>) -> &'static [FuzzMode] {
+            G::MODES
+        }
+        each_snapshot!(self, s => modes(s)).contains(&mode)
     }
 
     /// The generation the resumed fuzzer will evaluate next.
     pub fn next_generation(&self) -> u32 {
-        match self {
-            SnapshotPayload::Traffic(s) => s.next_generation,
-            SnapshotPayload::Link(s) => s.next_generation,
-            SnapshotPayload::Scenario(s) => s.next_generation,
-            SnapshotPayload::Topology(s) => s.next_generation,
-            SnapshotPayload::Workload(s) => s.next_generation,
-        }
+        each_snapshot!(self, s => s.next_generation)
     }
 
     /// Simulations run before the snapshot was taken.
     pub fn evaluations(&self) -> usize {
-        match self {
-            SnapshotPayload::Traffic(s) => s.evaluations,
-            SnapshotPayload::Link(s) => s.evaluations,
-            SnapshotPayload::Scenario(s) => s.evaluations,
-            SnapshotPayload::Topology(s) => s.evaluations,
-            SnapshotPayload::Workload(s) => s.evaluations,
-        }
+        each_snapshot!(self, s => s.evaluations)
     }
 
     /// Evaluation panics caught before the snapshot was taken.
     pub fn panics_caught(&self) -> u64 {
-        match self {
-            SnapshotPayload::Traffic(s) => s.panics.len() as u64,
-            SnapshotPayload::Link(s) => s.panics.len() as u64,
-            SnapshotPayload::Scenario(s) => s.panics.len() as u64,
-            SnapshotPayload::Topology(s) => s.panics.len() as u64,
-            SnapshotPayload::Workload(s) => s.panics.len() as u64,
-        }
+        each_snapshot!(self, s => s.panics.len() as u64)
     }
 
     /// The embedded GA parameters.
     pub fn params(&self) -> &GaParams {
-        match self {
-            SnapshotPayload::Traffic(s) => &s.params,
-            SnapshotPayload::Link(s) => &s.params,
-            SnapshotPayload::Scenario(s) => &s.params,
-            SnapshotPayload::Topology(s) => &s.params,
-            SnapshotPayload::Workload(s) => &s.params,
-        }
+        each_snapshot!(self, s => &s.params)
     }
 
     /// Structural validation of the embedded snapshot (schema, shape,
     /// genome invariants). Run before trusting a payload loaded from disk.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            SnapshotPayload::Traffic(s) => s.validate(),
-            SnapshotPayload::Link(s) => s.validate(),
-            SnapshotPayload::Scenario(s) => s.validate(),
-            SnapshotPayload::Topology(s) => s.validate(),
-            SnapshotPayload::Workload(s) => s.validate(),
-        }
+        each_snapshot!(self, s => s.validate())
     }
 
     /// Unwraps a traffic-mode snapshot ([`FuzzTarget::unwrap_snapshot`]).

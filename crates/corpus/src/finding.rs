@@ -35,56 +35,52 @@ pub enum GenomePayload {
     Workload(WorkloadGenome),
 }
 
-impl GenomePayload {
-    /// The modes this payload's genome type serves ([`FuzzTarget::MODES`]).
-    fn modes(&self) -> &'static [FuzzMode] {
-        match self {
-            GenomePayload::Link(_) => LinkGenome::MODES,
-            GenomePayload::Traffic(_) => TrafficGenome::MODES,
-            GenomePayload::Scenario(_) => ScenarioGenome::MODES,
-            GenomePayload::Topology(_) => TopologyGenome::MODES,
-            GenomePayload::Workload(_) => WorkloadGenome::MODES,
+/// Evaluates `$body` with `$g` bound to the wrapped genome, whatever its
+/// type.
+macro_rules! each_genome {
+    ($payload:expr, $g:ident => $body:expr) => {
+        match $payload {
+            GenomePayload::Link($g) => $body,
+            GenomePayload::Traffic($g) => $body,
+            GenomePayload::Scenario($g) => $body,
+            GenomePayload::Topology($g) => $body,
+            GenomePayload::Workload($g) => $body,
         }
-    }
+    };
+}
 
+impl GenomePayload {
     /// The fuzzing mode this genome belongs to. Scenario genomes serve two
     /// modes (fairness and aqm); this returns the one the payload's own
     /// shape implies, see [`GenomePayload::matches_mode`] for validation.
     pub fn mode(&self) -> FuzzMode {
         match self {
             GenomePayload::Scenario(g) if g.qdisc.is_some() => FuzzMode::Aqm,
-            other => other.modes()[0],
+            other => each_genome!(other, g => modes(g))[0],
         }
     }
 
-    /// `true` when this payload is a legal genome for `mode`: scenario
-    /// payloads serve both multi-flow modes, the others are 1:1.
+    /// `true` when this payload is a legal genome for `mode`
+    /// ([`FuzzTarget::MODES`]): scenario payloads serve both multi-flow
+    /// modes, the others are 1:1.
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        self.modes().contains(&mode)
+        each_genome!(self, g => modes(g)).contains(&mode)
     }
 
     /// Number of packets in the genome (cross-traffic packets for
     /// scenarios and topologies).
     pub fn packet_count(&self) -> usize {
-        match self {
-            GenomePayload::Link(g) => g.packet_count(),
-            GenomePayload::Traffic(g) => g.packet_count(),
-            GenomePayload::Scenario(g) => g.packet_count(),
-            GenomePayload::Topology(g) => g.packet_count(),
-            GenomePayload::Workload(g) => g.packet_count(),
-        }
+        each_genome!(self, g => g.packet_count())
     }
 
     /// Checks the genome's internal invariants.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            GenomePayload::Link(g) => g.validate(),
-            GenomePayload::Traffic(g) => g.validate(),
-            GenomePayload::Scenario(g) => g.validate(),
-            GenomePayload::Topology(g) => g.validate(),
-            GenomePayload::Workload(g) => g.validate(),
-        }
+        each_genome!(self, g => g.validate())
     }
+}
+
+fn modes<G: FuzzTarget>(_: &G) -> &'static [FuzzMode] {
+    G::MODES
 }
 
 macro_rules! genome_payload_from {
@@ -339,13 +335,7 @@ impl Finding {
 
     /// Unwraps the stored genome for [`Finding::replay_genome`].
     fn replay(&self, cca: Option<CcaKind>, traced: bool) -> Replayed {
-        match &self.genome {
-            GenomePayload::Link(g) => self.replay_genome(g, cca, traced),
-            GenomePayload::Traffic(g) => self.replay_genome(g, cca, traced),
-            GenomePayload::Scenario(g) => self.replay_genome(g, cca, traced),
-            GenomePayload::Topology(g) => self.replay_genome(g, cca, traced),
-            GenomePayload::Workload(g) => self.replay_genome(g, cca, traced),
-        }
+        each_genome!(&self.genome, g => self.replay_genome(g, cca, traced))
     }
 
     /// One fresh deterministic simulation of `genome`, scored exactly as
