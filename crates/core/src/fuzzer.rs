@@ -7,10 +7,16 @@
 //! 20 islands, kElite = 1, 30 % crossovers and 10 % migration every 10
 //! generations.
 //!
-//! Evaluation of a generation is embarrassingly parallel and is spread over
-//! worker threads with `crossbeam::scope`; every simulation is deterministic,
-//! so the end-to-end fuzzing run is reproducible from its seed regardless of
-//! the thread count.
+//! Evaluation of a generation is embarrassingly parallel. `threads` workers
+//! (spawned with `crossbeam::scope`, each owning one `EvalScratch`) claim
+//! pending `(island, index)` pairs one at a time from a shared atomic
+//! cursor until the list is exhausted, so a worker that drew cheap
+//! simulations keeps claiming instead of idling at the generation barrier.
+//! Which worker evaluates which individual depends on scheduling, but every
+//! simulation is deterministic and the results, panic records and latency
+//! shards are folded back in canonical `(island, index)` order, so the
+//! end-to-end fuzzing run is reproducible from its seed regardless of the
+//! thread count.
 
 use crate::evaluate::{EvalOutcome, EvalScratch, Evaluator};
 use crate::genome::Genome;
@@ -22,7 +28,7 @@ use parking_lot::Mutex;
 use serde::value::{map_get, DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -431,6 +437,29 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Checks that `evaluated`, sorted by key, holds each key of `pending`
+/// (strictly increasing) exactly once. Returns the first `(island, index)`
+/// that is missing or duplicated, worded for a panic message.
+fn exactly_once_violation(
+    pending: &[(usize, usize)],
+    evaluated: &[(usize, usize, EvalOutcome)],
+) -> Option<String> {
+    let key = |k: usize| evaluated.get(k).map(|&(i, j, _)| (i, j));
+    let k = (0..pending.len().max(evaluated.len())).find(|&k| pending.get(k).copied() != key(k))?;
+    // At the first divergence, an evaluated key below the pending one (or
+    // past the end of `pending`) is one too many; otherwise the pending key
+    // was skipped.
+    Some(match key(k) {
+        Some((i, j)) if pending.get(k).is_none_or(|&want| (i, j) < want) => {
+            format!("(island {i}, index {j}) was evaluated more than once")
+        }
+        _ => {
+            let (i, j) = pending[k];
+            format!("(island {i}, index {j}) was never evaluated")
+        }
+    })
+}
+
 /// Hook applied to genomes between generations (e.g. link-trace annealing).
 pub type AnnealFn<G> = dyn Fn(&G, &mut SimRng) -> G + Sync + Send;
 
@@ -593,7 +622,13 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // Panics caught inside workers: (island, index, message).
         let caught: Mutex<Vec<(usize, usize, String)>> = Mutex::new(Vec::new());
         let threads = self.params.threads.max(1).min(pending.len());
-        let chunk_size = pending.len().div_ceil(threads);
+        // Work claiming: each worker takes the next unclaimed position of
+        // `pending` until the list runs out, so a worker that drew cheap
+        // individuals keeps claiming instead of idling at the barrier.
+        // `Relaxed` suffices: the cursor publishes no data (`pending` and
+        // the islands are read-only inside the scope, and the scope's join
+        // orders every result before it is read).
+        let cursor = AtomicUsize::new(0);
         let islands = &self.islands;
         let evaluator = self.evaluator;
         let observe = self.obs.is_some();
@@ -603,7 +638,9 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // for any thread count (the property tests pin this).
         let shards: Mutex<Vec<LocalHistogram>> = Mutex::new(Vec::new());
         crossbeam::scope(|scope| {
-            for chunk in pending.chunks(chunk_size) {
+            for _ in 0..threads {
+                let pending = &pending;
+                let cursor = &cursor;
                 let results = &results;
                 let caught = &caught;
                 let shards = &shards;
@@ -613,9 +650,9 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
                     // Evaluation stays pure — the scratch only donates
                     // capacity — so results are identical to `evaluate`.
                     let mut scratch = EvalScratch::new();
-                    let mut local = Vec::with_capacity(chunk.len());
+                    let mut local = Vec::new();
                     let mut shard = LocalHistogram::new();
-                    for &(i, j) in chunk {
+                    while let Some(&(i, j)) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                         let started = observe.then(Instant::now);
                         // A panicking simulation is isolated here: the
                         // individual scores the default outcome, the genome
@@ -675,20 +712,17 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             }
         }
 
-        // Workers finish in wall-clock order, so the collected vector's
-        // order depends on the thread count and scheduling. The keyed
-        // assignment below makes the *final state* order-independent either
-        // way; re-imposing the canonical (island, index) order makes that
-        // independence explicit rather than incidental, and lets the
-        // assertion prove every pending individual was evaluated exactly
-        // once.
+        // Which worker claimed which individual, and when it finished,
+        // depends on the thread count and scheduling. The keyed assignment
+        // below makes the *final state* order-independent either way;
+        // re-imposing the canonical (island, index) order makes that
+        // independence explicit rather than incidental, and lets the check
+        // prove every pending individual was evaluated exactly once.
         let mut results = results.into_inner();
-        results.sort_by_key(|&(i, j, _)| (i, j));
-        debug_assert_eq!(
-            results.iter().map(|&(i, j, _)| (i, j)).collect::<Vec<_>>(),
-            pending,
-            "every pending individual is evaluated exactly once"
-        );
+        results.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        if let Some(violation) = exactly_once_violation(&pending, &results) {
+            panic!("evaluation bookkeeping is broken: {violation}");
+        }
         for (i, j, outcome) in results {
             self.islands[i][j].outcome = Some(outcome);
         }
@@ -1494,27 +1528,107 @@ mod tests {
     fn isolated_panics_preserve_the_surviving_trajectory() {
         // A run where *some* evaluations panic must still be deterministic
         // and resumable: panicked individuals score the default outcome and
-        // selection proceeds.
+        // selection proceeds. The evaluator picks its victims by genome
+        // content, so which worker claims them must not matter either.
         let evaluator = FaultyEvaluator;
-        let mut params = quick_params();
-        params.generations = 8;
         let init =
             |rng: &mut SimRng| ToyGenome((0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect());
-        let run_once = || {
+        let run_once = |threads: usize| {
+            let mut params = quick_params();
+            params.generations = 8;
+            params.threads = threads;
             let mut fuzzer = Fuzzer::new(params, &evaluator, init);
             let (result, stop) = fuzzer.run_controlled(&mut RunControl::default());
             assert_eq!(stop, StopReason::Completed);
-            (result, fuzzer.panics().to_vec())
+            let mut snapshot = fuzzer.snapshot();
+            snapshot.params.threads = 0;
+            (result, fuzzer.panics().to_vec(), snapshot)
         };
-        let (a, panics_a) = run_once();
-        let (b, panics_b) = run_once();
+        let (a, panics_a, snapshot_a) = run_once(1);
+        let (b, panics_b, snapshot_b) = run_once(4);
         assert_eq!(a.history, b.history);
         assert_eq!(panics_a, panics_b);
+        assert_eq!(snapshot_a, snapshot_b);
         assert!(
             !panics_a.is_empty(),
             "the faulty evaluator should have panicked at least once"
         );
         assert!(a.best_outcome.score > 0.0, "survivors still score");
+    }
+
+    #[test]
+    fn the_claim_cursor_evaluates_each_pending_individual_exactly_once() {
+        /// Counts evaluations per genome; a genome's identity is its first gene.
+        #[derive(Default)]
+        struct CountingEvaluator {
+            calls: Mutex<std::collections::BTreeMap<u64, usize>>,
+        }
+        impl Evaluator<ToyGenome> for CountingEvaluator {
+            fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
+                *self.calls.lock().entry(genome.0[0] as u64).or_default() += 1;
+                EvalOutcome {
+                    score: genome.0[0],
+                    ..Default::default()
+                }
+            }
+        }
+        // 3 islands x 6 = 18 individuals; every third one already carries
+        // an outcome (an elite), so 12 are pending. threads = 32 exceeds the
+        // pending count.
+        for threads in [1, 2, 3, 8, 32] {
+            let mut params = quick_params();
+            params.threads = threads;
+            let evaluator = CountingEvaluator::default();
+            let mut next_id = 0u64;
+            let mut fuzzer = Fuzzer::new(params, &evaluator, |_rng| {
+                next_id += 1;
+                ToyGenome(vec![next_id as f64])
+            });
+            for ind in fuzzer.islands.iter_mut().flatten().step_by(3) {
+                ind.outcome = Some(EvalOutcome::default());
+            }
+            fuzzer.evaluate_pending();
+
+            assert_eq!(fuzzer.evaluations, 12);
+            assert!(fuzzer
+                .islands
+                .iter()
+                .flatten()
+                .all(|ind| ind.outcome.is_some()));
+            let calls = evaluator.calls.into_inner();
+            let expected: std::collections::BTreeMap<u64, usize> = (1..=18u64)
+                .filter(|id| (id - 1) % 3 != 0)
+                .map(|id| (id, 1))
+                .collect();
+            assert_eq!(calls, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn exactly_once_violations_name_the_first_bad_key() {
+        let pending = [(0, 0), (0, 1), (1, 0)];
+        let done = |keys: &[(usize, usize)]| {
+            keys.iter()
+                .map(|&(i, j)| (i, j, EvalOutcome::default()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(exactly_once_violation(&pending, &done(&pending)), None);
+        assert_eq!(
+            exactly_once_violation(&pending, &done(&[(0, 0), (1, 0)])).unwrap(),
+            "(island 0, index 1) was never evaluated"
+        );
+        assert_eq!(
+            exactly_once_violation(&pending, &done(&[(0, 0), (0, 1)])).unwrap(),
+            "(island 1, index 0) was never evaluated"
+        );
+        assert_eq!(
+            exactly_once_violation(&pending, &done(&[(0, 0), (0, 0), (0, 1), (1, 0)])).unwrap(),
+            "(island 0, index 0) was evaluated more than once"
+        );
+        assert_eq!(
+            exactly_once_violation(&pending, &done(&[(0, 0), (0, 1), (1, 0), (1, 0)])).unwrap(),
+            "(island 1, index 0) was evaluated more than once"
+        );
     }
 
     #[test]

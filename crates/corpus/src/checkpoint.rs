@@ -78,10 +78,11 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// Serializes and atomically writes the checkpoint, returning the bytes
-    /// written.
+    /// Serializes the checkpoint as compact JSON and writes it atomically,
+    /// returning the bytes written. [`CampaignCheckpoint::load`] reads
+    /// pretty-printed checkpoints just as well.
     pub fn write_atomic<P: AsRef<Path>>(&self, path: P) -> Result<u64, CorpusError> {
-        let json = serde_json::to_string_pretty(self)?;
+        let json = serde_json::to_string(self)?;
         Ok(write_atomic(path.as_ref(), (json + "\n").as_bytes())?)
     }
 
@@ -175,7 +176,7 @@ impl PanicFinding {
 mod tests {
     use super::*;
     use crate::hunt::hunt_controlled;
-    use crate::hunt::HuntControl;
+    use crate::hunt::{HuntControl, HuntOutcome};
     use crate::store::{Corpus, CorpusConfig};
     use std::path::PathBuf;
 
@@ -254,6 +255,64 @@ mod tests {
         let cut = dir.join("cut.json");
         std::fs::write(&cut, &text[..text.len() / 3]).unwrap();
         assert!(CampaignCheckpoint::load(&cut).is_err());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn pretty_and_compact_checkpoints_resume_to_the_same_result() {
+        let dir = temp_dir("pretty");
+        let config = tiny_config();
+        let finish = |corpus_dir: PathBuf, resume: Option<CampaignCheckpoint>| {
+            let corpus = Corpus::open_with(corpus_dir, CorpusConfig::default()).unwrap();
+            match hunt_controlled(
+                &corpus,
+                &config,
+                None,
+                HuntControl {
+                    resume,
+                    ..HuntControl::default()
+                },
+            )
+            .unwrap()
+            {
+                HuntOutcome::Completed { finding, .. } => finding,
+                other => panic!("hunt did not complete: {other:?}"),
+            }
+        };
+        let control = finish(dir.join("control"), None);
+
+        // Stop after the first generation; the final checkpoint is compact.
+        let compact = dir.join("compact.json");
+        let shutdown = std::sync::atomic::AtomicBool::new(true);
+        let corpus = Corpus::open_with(dir.join("interrupted"), CorpusConfig::default()).unwrap();
+        let outcome = hunt_controlled(
+            &corpus,
+            &config,
+            None,
+            HuntControl {
+                shutdown: Some(&shutdown),
+                checkpoint_path: Some(compact.clone()),
+                ..HuntControl::default()
+            },
+        )
+        .unwrap();
+        assert!(matches!(outcome, HuntOutcome::Interrupted { .. }));
+        let text = std::fs::read_to_string(&compact).unwrap();
+        assert_eq!(text.lines().count(), 1, "checkpoints are written compact");
+
+        // The same checkpoint as a pretty-printed file (the format written
+        // before checkpoints went compact) loads to the identical state.
+        let ck = CampaignCheckpoint::load(&compact).unwrap();
+        let pretty = dir.join("pretty.json");
+        std::fs::write(&pretty, serde_json::to_string_pretty(&ck).unwrap() + "\n").unwrap();
+        assert!(std::fs::metadata(&pretty).unwrap().len() > text.len() as u64);
+        let from_pretty = CampaignCheckpoint::load(&pretty).unwrap();
+        assert_eq!(from_pretty, ck);
+
+        let resumed_compact = finish(dir.join("from-compact"), Some(ck));
+        let resumed_pretty = finish(dir.join("from-pretty"), Some(from_pretty));
+        assert_eq!(resumed_compact, control);
+        assert_eq!(resumed_pretty, control);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -65,13 +65,13 @@ impl WorkerCheckpoint {
         format!("worker-{worker:02}-gen-{generation:06}.json")
     }
 
-    /// Atomically writes the checkpoint into `dir` (created if needed) and
-    /// prunes this worker's older checkpoints down to the last two
-    /// boundaries.
+    /// Atomically writes the checkpoint into `dir` (created if needed) as
+    /// compact JSON and prunes this worker's older checkpoints down to the
+    /// last two boundaries.
     pub fn write_into(&self, dir: &Path) -> Result<u64, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating checkpoint dir {}: {e}", dir.display()))?;
-        let json = serde_json::to_string_pretty(self).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string(self).map_err(|e| e.to_string())?;
         let path = dir.join(Self::file_name(self.worker, self.generation));
         let bytes = write_atomic(&path, (json + "\n").as_bytes())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
