@@ -943,6 +943,10 @@ mod tests {
         assert_eq!(report.minimized_score, report.original_score);
         assert_eq!(report.original_packets, 20);
         assert_eq!(report.minimized_packets, 6);
+        assert_eq!(
+            report.passes,
+            ["ddmin: removed 14 of 20 packets (26 evals)"]
+        );
         min.validate().unwrap();
     }
 
@@ -1016,6 +1020,7 @@ mod tests {
         let (min, report) = minimize_link(&OutageEvaluator, &genome, &cfg);
         assert_eq!(min.packet_count(), genome.packet_count());
         assert!(report.minimized_score >= report.threshold, "{report:?}");
+        assert_eq!(report.passes, ["quantize-100ms: accepted (score 0.002049)"]);
         min.validate().unwrap();
     }
 }

@@ -277,6 +277,126 @@ fn aqm_minimizer_shrinks_qdisc_toward_drop_tail_when_harmless() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// What `minimize_finding` at the default policy makes of one committed
+/// fixture, recorded before the minimizer's passes were folded into one
+/// shrink driver.
+struct MinimizePin {
+    id: &'static str,
+    evaluations: u64,
+    score_bits: u64,
+    digest: u64,
+    passes: &'static [&'static str],
+}
+
+const MINIMIZE_PINS: &[MinimizePin] = &[
+    MinimizePin {
+        id: "cubic-traffic-0303000c0d",
+        evaluations: 281,
+        score_bits: 0x3fe7e9cfd5e13ce9,
+        digest: 0x8382097ea52e43db,
+        passes: &[
+            "ddmin: removed 4 of 127 packets (279 evals)",
+            "flatten-bursts: accepted (score 0.747291)",
+            "shorten-outages: accepted (score 0.747291)",
+        ],
+    },
+    MinimizePin {
+        id: "reno-aqm-010100060b",
+        evaluations: 211,
+        score_bits: 0x3fd8df6c40f4f685,
+        digest: 0x1b60112d2658c74b,
+        passes: &[
+            "ddmin: removed 22 of 78 packets (207 evals)",
+            "flatten-bursts: accepted (score 0.390952)",
+            "shorten-outages: accepted (score 0.388637)",
+            "qdisc->droptail: rejected (score 0.176367 < 0.349905)",
+            "qdisc-milder red(min=57,max=73,p=0.20): rejected (score 0.208907 < 0.349905)",
+        ],
+    },
+    MinimizePin {
+        id: "reno-fairness-0909030f12",
+        evaluations: 3,
+        score_bits: 0x3feca10edb67f20c,
+        digest: 0x1dfbec96d8f847e7,
+        passes: &["ddmin: removed 0 of 2 packets (3 evals)"],
+    },
+    MinimizePin {
+        id: "reno-link-0808000e0a",
+        evaluations: 1,
+        score_bits: 0x3fe6bb98c7e28240,
+        digest: 0x46e31756bbe2e645,
+        passes: &[],
+    },
+    MinimizePin {
+        id: "reno-topology-0809010d12",
+        evaluations: 9,
+        score_bits: 0x3fe38944fe7317b2,
+        digest: 0xe1639cad99df5655,
+        passes: &[
+            "ddmin: removed 101 of 101 packets (3 evals)",
+            "drop-hops: 2 -> 2 hops",
+            "relax hop 0 rate->baseline: accepted (score 0.623711)",
+            "relax hop 0 delay->20ms: accepted (score 0.623132)",
+            "relax hop 1 qdisc->droptail: accepted (score 0.610507)",
+            "relax hop 1 delay->20ms: rejected (score 0.556049 < 0.609112)",
+        ],
+    },
+    MinimizePin {
+        id: "reno-traffic-0303000e0d",
+        evaluations: 300,
+        score_bits: 0x3feb009ce895bc28,
+        digest: 0x41ef3b757990030d,
+        passes: &["ddmin: removed 6 of 129 packets (300 evals)"],
+    },
+    MinimizePin {
+        id: "reno-workload-0606011001",
+        evaluations: 4,
+        score_bits: 0x3fe5c208c9e64661,
+        digest: 0x57235cf00246dbcb,
+        passes: &[
+            "thin-arrivals 134.5/s: rejected (score 0.632377 < 0.659645)",
+            "collapse-sizes max=29pkt: accepted (score 0.679936)",
+            "collapse-sizes max=14pkt: rejected (score 0.655832 < 0.659645)",
+            "drop-elephants: 1 -> 1 elephants",
+        ],
+    },
+];
+
+#[test]
+fn fixture_minimization_matches_recorded_pass_logs() {
+    // The default budget is what `ccfuzz minimize` runs, and the only one
+    // large enough for the qdisc, hop and workload passes to run at all.
+    use cc_fuzz::corpus::minimize::{minimize_finding, MinimizeConfig};
+
+    let findings = load_fixtures();
+    let ids: Vec<&str> = findings.iter().map(|f| f.id.as_str()).collect();
+    let pinned: Vec<&str> = MINIMIZE_PINS.iter().map(|p| p.id).collect();
+    assert_eq!(ids, pinned, "every fixture has exactly one pin");
+    for (finding, pin) in findings.iter().zip(MINIMIZE_PINS) {
+        let (minimized, report) = minimize_finding(finding, &MinimizeConfig::default());
+        assert_eq!(report.passes, pin.passes, "{}: pass log", pin.id);
+        assert_eq!(
+            report.evaluations, pin.evaluations,
+            "{}: evaluations",
+            pin.id
+        );
+        assert_eq!(
+            minimized.outcome.score.to_bits(),
+            pin.score_bits,
+            "{}: minimized score {}",
+            pin.id,
+            minimized.outcome.score
+        );
+        assert_eq!(
+            report.minimized_score.to_bits(),
+            pin.score_bits,
+            "{}: reported score",
+            pin.id
+        );
+        assert_eq!(minimized.behavior_digest, pin.digest, "{}: digest", pin.id);
+    }
+}
+
 #[test]
 fn fixture_corpus_replays_without_drift() {
     let findings = load_fixtures();
