@@ -845,7 +845,6 @@ fn cmd_minimize(args: &[String]) -> Result<ExitCode, CliError> {
     let cfg = MinimizeConfig {
         retain_fraction: retain,
         max_evaluations: budget,
-        ..Default::default()
     };
 
     let ids: Vec<String> = match flag_value(args, "--id")? {

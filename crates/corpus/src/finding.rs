@@ -40,14 +40,15 @@ pub enum GenomePayload {
 macro_rules! each_genome {
     ($payload:expr, $g:ident => $body:expr) => {
         match $payload {
-            GenomePayload::Link($g) => $body,
-            GenomePayload::Traffic($g) => $body,
-            GenomePayload::Scenario($g) => $body,
-            GenomePayload::Topology($g) => $body,
-            GenomePayload::Workload($g) => $body,
+            $crate::finding::GenomePayload::Link($g) => $body,
+            $crate::finding::GenomePayload::Traffic($g) => $body,
+            $crate::finding::GenomePayload::Scenario($g) => $body,
+            $crate::finding::GenomePayload::Topology($g) => $body,
+            $crate::finding::GenomePayload::Workload($g) => $body,
         }
     };
 }
+pub(crate) use each_genome;
 
 impl GenomePayload {
     /// The fuzzing mode this genome belongs to. Scenario genomes serve two

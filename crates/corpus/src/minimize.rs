@@ -14,11 +14,16 @@
 //!    over-long outages, and (link mode, where packet count is an invariant)
 //!    quantize timestamps to the coarsest grid that keeps the score.
 //!
+//! Every genome type lists its passes (`Shrink`), and every pass spends
+//! its evaluations through one driver (`Shrinker`): it owns the current
+//! genome, its score, the retention threshold, the budget and the pass log,
+//! and has the single "evaluate, then accept or reject" step.
+//!
 //! Invariants, verified by property tests: the minimized trace never has
 //! *more* packets than the input, and its score never drops below
 //! `retain_fraction * original_score`.
 
-use crate::finding::{Finding, GenomePayload};
+use crate::finding::{each_genome, Finding};
 use crate::signature::BehaviorSignature;
 use ccfuzz_core::evaluate::{Evaluator, SimEvaluator};
 use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
@@ -39,14 +44,6 @@ pub struct MinimizeConfig {
     /// Simulation budget: minimization stops when it has spent this many
     /// evaluations.
     pub max_evaluations: usize,
-    /// Delta debugging stops splitting below segments of this many packets.
-    pub min_segment: usize,
-    /// Gaps below this are considered part of one burst when flattening.
-    pub burst_gap: SimDuration,
-    /// Outages longer than this are compressed down to this.
-    pub outage_cap: SimDuration,
-    /// Quantization grids tried for link genomes, coarsest first.
-    pub link_grids: [SimDuration; 4],
 }
 
 impl Default for MinimizeConfig {
@@ -54,18 +51,21 @@ impl Default for MinimizeConfig {
         MinimizeConfig {
             retain_fraction: 0.8,
             max_evaluations: 300,
-            min_segment: 1,
-            burst_gap: SimDuration::from_millis(2),
-            outage_cap: SimDuration::from_millis(500),
-            link_grids: [
-                SimDuration::from_millis(100),
-                SimDuration::from_millis(50),
-                SimDuration::from_millis(20),
-                SimDuration::from_millis(10),
-            ],
         }
     }
 }
+
+/// Gaps below this are considered part of one burst when flattening.
+const BURST_GAP: SimDuration = SimDuration::from_millis(2);
+/// Outages longer than this are compressed down to this.
+const OUTAGE_CAP: SimDuration = SimDuration::from_millis(500);
+/// Quantization grids tried for link genomes, coarsest first.
+const LINK_GRIDS: [SimDuration; 4] = [
+    SimDuration::from_millis(100),
+    SimDuration::from_millis(50),
+    SimDuration::from_millis(20),
+    SimDuration::from_millis(10),
+];
 
 /// What minimization achieved.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -86,15 +86,126 @@ pub struct MinimizeReport {
     pub passes: Vec<String>,
 }
 
-struct Budget {
+/// The shrink driver every pass runs through.
+struct Shrinker<'e, G, E> {
+    evaluator: &'e E,
+    /// The smallest genome accepted so far.
+    current: G,
+    /// Its score.
+    score: f64,
+    /// The floor a candidate's score must clear to be accepted.
+    threshold: f64,
     spent: usize,
     max: usize,
+    passes: Vec<String>,
 }
 
-impl Budget {
+impl<G: Genome, E: Evaluator<G>> Shrinker<'_, G, E> {
     fn exhausted(&self) -> bool {
         self.spent >= self.max
     }
+
+    /// Spends one evaluation on `genome`.
+    fn evaluate(&mut self, genome: &G) -> f64 {
+        self.spent += 1;
+        self.evaluator.evaluate(genome).score
+    }
+
+    /// Evaluates `candidate` and adopts it when its score clears the
+    /// threshold. With a `label`, the verdict goes into the pass log.
+    fn attempt(&mut self, candidate: G, label: Option<&str>) -> bool {
+        let score = self.evaluate(&candidate);
+        let accepted = score >= self.threshold;
+        if let Some(label) = label {
+            self.passes.push(if accepted {
+                format!("{label}: accepted (score {score:.6})")
+            } else {
+                format!(
+                    "{label}: rejected (score {score:.6} < {:.6})",
+                    self.threshold
+                )
+            });
+        }
+        if accepted {
+            self.current = candidate;
+            self.score = score;
+        }
+        accepted
+    }
+
+    /// Keeps applying `step` to the current genome while the budget lasts,
+    /// `step` has a labelled change to offer, and each change is accepted.
+    fn repeat(&mut self, mut step: impl FnMut(&G) -> Option<(G, String)>) {
+        while !self.exhausted() {
+            let Some((candidate, label)) = step(&self.current) else {
+                break;
+            };
+            if !self.attempt(candidate, Some(&label)) {
+                break;
+            }
+        }
+    }
+
+    /// Tries removing one element at a time, from index `first` on, while
+    /// more than one is left. An accepted removal changes the dynamics, so
+    /// the scan restarts at `first`: an earlier rejection may go through now.
+    fn drop_each(
+        &mut self,
+        first: usize,
+        len: impl Fn(&G) -> usize,
+        without: impl Fn(&G, usize) -> Option<G>,
+    ) {
+        let mut at = first;
+        while len(&self.current) > 1 && at < len(&self.current) && !self.exhausted() {
+            let Some(candidate) = without(&self.current, at) else {
+                break;
+            };
+            at = if self.attempt(candidate, None) {
+                first
+            } else {
+                at + 1
+            };
+        }
+    }
+}
+
+/// A genome type's minimization passes, in order.
+trait Shrink<E>: Genome {
+    fn passes(s: &mut Shrinker<'_, Self, E>);
+}
+
+/// Anchors the score and threshold with one evaluation, runs `G`'s passes
+/// and reports what they achieved.
+fn minimize<G: Shrink<E>, E: Evaluator<G>>(
+    evaluator: &E,
+    genome: &G,
+    cfg: &MinimizeConfig,
+) -> (G, MinimizeReport) {
+    let mut s = Shrinker {
+        evaluator,
+        current: genome.clone(),
+        score: 0.0,
+        threshold: 0.0,
+        spent: 0,
+        max: cfg.max_evaluations.max(1),
+        passes: Vec::new(),
+    };
+    let original_score = s.evaluate(genome);
+    s.score = original_score;
+    s.threshold = original_score * cfg.retain_fraction;
+    G::passes(&mut s);
+
+    debug_assert!(s.current.packet_count() <= genome.packet_count());
+    let report = MinimizeReport {
+        original_packets: genome.packet_count() as u64,
+        minimized_packets: s.current.packet_count() as u64,
+        original_score,
+        minimized_score: s.score,
+        threshold: s.threshold,
+        evaluations: s.spent as u64,
+        passes: s.passes,
+    };
+    (s.current, report)
 }
 
 /// Minimizes a traffic genome against an evaluator.
@@ -103,119 +214,7 @@ pub fn minimize_traffic<E: Evaluator<TrafficGenome>>(
     genome: &TrafficGenome,
     cfg: &MinimizeConfig,
 ) -> (TrafficGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        evaluator.evaluate(genome).score
-    };
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
-
-    // Stage 1: delta debugging over index segments.
-    let removed = ddmin_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        cfg,
-        &mut budget,
-    );
-    passes.push(format!(
-        "ddmin: removed {removed} of {} packets ({} evals)",
-        genome.packet_count(),
-        budget.spent
-    ));
-
-    // Stage 2: value-level shrinking. Order matters: flattening first makes
-    // outage compression see clean gaps.
-    for (name, candidate) in [
-        ("flatten-bursts", current.flattened_bursts(cfg.burst_gap)),
-        ("shorten-outages", current.shortened_outages(cfg.outage_cap)),
-    ] {
-        if budget.exhausted() {
-            break;
-        }
-        if candidate.timestamps == current.timestamps {
-            continue;
-        }
-        budget.spent += 1;
-        let score = evaluator.evaluate(&candidate).score;
-        if score >= threshold {
-            passes.push(format!("{name}: accepted (score {score:.6})"));
-            current = candidate;
-            current_score = score;
-        } else {
-            passes.push(format!(
-                "{name}: rejected (score {score:.6} < {threshold:.6})"
-            ));
-        }
-    }
-
-    debug_assert!(current.packet_count() <= genome.packet_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
-}
-
-/// Greedy delta-debugging: try deleting each of `n` segments; on success
-/// restart at the same granularity, otherwise halve segment size.
-fn ddmin_pass<E: Evaluator<TrafficGenome>>(
-    evaluator: &E,
-    current: &mut TrafficGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    cfg: &MinimizeConfig,
-    budget: &mut Budget,
-) -> usize {
-    let start_count = current.packet_count();
-    let mut num_segments = 2usize;
-    loop {
-        let n = current.packet_count();
-        if n == 0 || budget.exhausted() {
-            break;
-        }
-        let seg_len = n.div_ceil(num_segments);
-        if seg_len < cfg.min_segment.max(1) {
-            break;
-        }
-        let mut any_removed = false;
-        let mut seg = 0usize;
-        while seg * seg_len < current.packet_count() && !budget.exhausted() {
-            let lo = seg * seg_len;
-            let hi = (lo + seg_len).min(current.packet_count());
-            let candidate = current.without_index_range(lo..hi);
-            budget.spent += 1;
-            let score = evaluator.evaluate(&candidate).score;
-            if score >= threshold {
-                *current = candidate;
-                *current_score = score;
-                any_removed = true;
-                // Do not advance `seg`: the segment that slid into this
-                // position is tried next.
-            } else {
-                seg += 1;
-            }
-        }
-        if !any_removed {
-            if seg_len == 1 {
-                break;
-            }
-            num_segments = num_segments.saturating_mul(2);
-        }
-    }
-    start_count - current.packet_count()
+    minimize(evaluator, genome, cfg)
 }
 
 /// Minimizes a link genome. Packet count is a link-genome invariant (it
@@ -226,87 +225,154 @@ pub fn minimize_link<E: Evaluator<LinkGenome>>(
     genome: &LinkGenome,
     cfg: &MinimizeConfig,
 ) -> (LinkGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        evaluator.evaluate(genome).score
-    };
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
+    minimize(evaluator, genome, cfg)
+}
 
-    for grid in cfg.link_grids {
-        if budget.exhausted() {
-            break;
-        }
-        let candidate = current.quantized(grid);
-        if candidate.timestamps == current.timestamps {
-            continue;
-        }
-        budget.spent += 1;
-        let score = evaluator.evaluate(&candidate).score;
-        if score >= threshold {
-            passes.push(format!(
-                "quantize-{}ms: accepted (score {score:.6})",
-                grid.as_millis()
-            ));
-            current = candidate;
-            current_score = score;
-            break; // coarsest acceptable grid wins
-        }
-        passes.push(format!(
-            "quantize-{}ms: rejected (score {score:.6} < {threshold:.6})",
-            grid.as_millis()
-        ));
+/// A genome whose cross traffic the traffic passes shrink: every candidate
+/// traffic genome is re-embedded into the (otherwise fixed) genome before
+/// evaluation. A traffic genome embeds itself.
+trait CrossTraffic: Genome {
+    fn traffic(&self) -> Option<&TrafficGenome>;
+    fn with_traffic(&self, traffic: TrafficGenome) -> Self;
+}
+
+impl CrossTraffic for TrafficGenome {
+    fn traffic(&self) -> Option<&TrafficGenome> {
+        Some(self)
+    }
+    fn with_traffic(&self, traffic: TrafficGenome) -> Self {
+        traffic
+    }
+}
+
+impl CrossTraffic for ScenarioGenome {
+    fn traffic(&self) -> Option<&TrafficGenome> {
+        self.traffic.as_ref()
+    }
+    fn with_traffic(&self, traffic: TrafficGenome) -> Self {
+        let mut out = self.clone();
+        out.traffic = Some(traffic);
+        out
+    }
+}
+
+impl CrossTraffic for TopologyGenome {
+    fn traffic(&self) -> Option<&TrafficGenome> {
+        self.traffic.as_ref()
+    }
+    fn with_traffic(&self, traffic: TrafficGenome) -> Self {
+        let mut out = self.clone();
+        out.traffic = Some(traffic);
+        out
+    }
+}
+
+impl<G: CrossTraffic, E: Evaluator<G>> Shrinker<'_, G, E> {
+    /// The current cross traffic; only called once it is known to exist.
+    fn cross(&self) -> &TrafficGenome {
+        self.current
+            .traffic()
+            .expect("genome carries cross traffic")
     }
 
-    if !budget.exhausted() {
-        let candidate = current.shortened_outages(cfg.outage_cap);
-        if candidate.timestamps != current.timestamps {
-            budget.spent += 1;
-            let score = evaluator.evaluate(&candidate).score;
-            if score >= threshold {
-                passes.push(format!("shorten-outages: accepted (score {score:.6})"));
-                current = candidate;
-                current_score = score;
-            } else {
-                passes.push(format!(
-                    "shorten-outages: rejected (score {score:.6} < {threshold:.6})"
-                ));
+    /// Delta debugging over the cross-traffic packets, then value-level
+    /// shrinking. A genome without cross traffic (a `noun`) only gets a note.
+    fn traffic_passes(&mut self, noun: &str) {
+        let Some(traffic) = self.current.traffic() else {
+            self.passes
+                .push(format!("{noun} has no cross traffic; nothing to shrink"));
+            return;
+        };
+        let packets = traffic.packet_count();
+        self.ddmin();
+        self.passes.push(format!(
+            "ddmin: removed {} of {packets} packets ({} evals)",
+            packets - self.cross().packet_count(),
+            self.spent
+        ));
+
+        // Both candidates are derived from the post-ddmin trace up front.
+        for (label, candidate) in [
+            ("flatten-bursts", self.cross().flattened_bursts(BURST_GAP)),
+            (
+                "shorten-outages",
+                self.cross().shortened_outages(OUTAGE_CAP),
+            ),
+        ] {
+            if self.exhausted() {
+                break;
+            }
+            if candidate.timestamps == self.cross().timestamps {
+                continue;
+            }
+            let candidate = self.current.with_traffic(candidate);
+            self.attempt(candidate, Some(label));
+        }
+    }
+
+    /// Greedy delta-debugging: try deleting each of `n` segments; on success
+    /// restart at the same granularity, otherwise halve segment size.
+    fn ddmin(&mut self) {
+        let mut num_segments = 2usize;
+        loop {
+            let n = self.cross().packet_count();
+            if n == 0 || self.exhausted() {
+                return;
+            }
+            let seg_len = n.div_ceil(num_segments);
+            let mut any_removed = false;
+            let mut seg = 0usize;
+            while seg * seg_len < self.cross().packet_count() && !self.exhausted() {
+                let lo = seg * seg_len;
+                let hi = (lo + seg_len).min(self.cross().packet_count());
+                let candidate = self
+                    .current
+                    .with_traffic(self.cross().without_index_range(lo..hi));
+                if self.attempt(candidate, None) {
+                    any_removed = true;
+                    // Do not advance `seg`: the segment that slid into this
+                    // position is tried next.
+                } else {
+                    seg += 1;
+                }
+            }
+            if !any_removed {
+                if seg_len == 1 {
+                    return;
+                }
+                num_segments = num_segments.saturating_mul(2);
             }
         }
     }
-
-    debug_assert_eq!(current.packet_count(), genome.packet_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
 }
 
-/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink a
-/// scenario's cross-traffic sub-genome: every candidate traffic genome is
-/// re-embedded into the (otherwise fixed) scenario before evaluation.
-struct ScenarioTrafficEvaluator<'a> {
-    evaluator: &'a SimEvaluator,
-    scenario: &'a ScenarioGenome,
+impl<E: Evaluator<TrafficGenome>> Shrink<E> for TrafficGenome {
+    fn passes(s: &mut Shrinker<'_, Self, E>) {
+        s.traffic_passes("trace");
+    }
 }
 
-impl Evaluator<TrafficGenome> for ScenarioTrafficEvaluator<'_> {
-    fn evaluate(&self, genome: &TrafficGenome) -> ccfuzz_core::evaluate::EvalOutcome {
-        let mut scenario = self.scenario.clone();
-        scenario.traffic = Some(genome.clone());
-        Evaluator::<ScenarioGenome>::evaluate(self.evaluator, &scenario)
+impl<E: Evaluator<LinkGenome>> Shrink<E> for LinkGenome {
+    fn passes(s: &mut Shrinker<'_, Self, E>) {
+        for grid in LINK_GRIDS {
+            if s.exhausted() {
+                break;
+            }
+            let candidate = s.current.quantized(grid);
+            if candidate.timestamps == s.current.timestamps {
+                continue;
+            }
+            let label = format!("quantize-{}ms", grid.as_millis());
+            if s.attempt(candidate, Some(&label)) {
+                break; // coarsest acceptable grid wins
+            }
+        }
+        if !s.exhausted() {
+            let candidate = s.current.shortened_outages(OUTAGE_CAP);
+            if candidate.timestamps != s.current.timestamps {
+                s.attempt(candidate, Some("shorten-outages"));
+            }
+        }
     }
 }
 
@@ -346,174 +412,38 @@ fn milder_qdisc(gene: &QdiscGene, capacity_packets: usize) -> Option<QdiscGene> 
     Some(out)
 }
 
-/// Shrinks a scenario's qdisc gene toward drop-tail: first the maximal step
-/// (no qdisc gene at all — plain drop-tail, no ECN), then successively
-/// milder parameter settings, keeping each step only when the re-simulated
-/// score retains the threshold.
-fn qdisc_shrink_pass(
-    evaluator: &SimEvaluator,
-    current: &mut ScenarioGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    if current.qdisc.is_none() || budget.exhausted() {
-        return;
-    }
-    let capacity_packets = match evaluator.base.queue_capacity {
-        QueueCapacity::Packets(n) => n,
-        QueueCapacity::Bytes(b) => (b / evaluator.base.mss.max(1) as u64).max(1) as usize,
-    };
-
-    // Maximal shrink: the behaviour survives on a plain drop-tail gateway.
-    let mut candidate = current.clone();
-    candidate.qdisc = None;
-    budget.spent += 1;
-    let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, &candidate).score;
-    if score >= threshold {
-        passes.push(format!("qdisc->droptail: accepted (score {score:.6})"));
-        *current = candidate;
-        *current_score = score;
-        return;
-    }
-    passes.push(format!(
-        "qdisc->droptail: rejected (score {score:.6} < {threshold:.6})"
-    ));
-
-    // Stepwise milding of the discipline parameters.
-    while !budget.exhausted() {
-        let Some(gene) = &current.qdisc else { break };
-        let Some(milder) = milder_qdisc(gene, capacity_packets) else {
-            break;
+/// Scenario genomes: flow genes are the scenario's substance and stay; what
+/// shrinks is the cross-traffic helper (when present), with the full traffic
+/// pipeline against the multi-flow simulation, and then the qdisc gene (when
+/// present), stepped toward drop-tail as far as the score allows.
+impl Shrink<SimEvaluator> for ScenarioGenome {
+    fn passes(s: &mut Shrinker<'_, Self, SimEvaluator>) {
+        s.traffic_passes("scenario");
+        if s.current.qdisc.is_none() || s.exhausted() {
+            return;
+        }
+        // Maximal shrink: the behaviour survives on a plain drop-tail
+        // gateway (no qdisc gene at all, no ECN).
+        let mut candidate = s.current.clone();
+        candidate.qdisc = None;
+        if s.attempt(candidate, Some("qdisc->droptail")) {
+            return;
+        }
+        // Otherwise step the discipline's parameters milder.
+        let capacity_packets = match s.evaluator.base.queue_capacity {
+            QueueCapacity::Packets(n) => n,
+            QueueCapacity::Bytes(b) => (b / s.evaluator.base.mss.max(1) as u64).max(1) as usize,
         };
-        let mut candidate = current.clone();
-        candidate.qdisc = Some(milder);
-        budget.spent += 1;
-        let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, &candidate).score;
-        let label = milder.discipline.label();
-        if score >= threshold {
-            passes.push(format!("qdisc-milder {label}: accepted (score {score:.6})"));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "qdisc-milder {label}: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
+        s.repeat(|current| {
+            let milder = milder_qdisc(current.qdisc.as_ref()?, capacity_packets)?;
+            let mut candidate = current.clone();
+            candidate.qdisc = Some(milder);
+            Some((
+                candidate,
+                format!("qdisc-milder {}", milder.discipline.label()),
+            ))
+        });
     }
-}
-
-/// Minimizes a scenario genome. Flow genes are the scenario's substance and
-/// stay; what shrinks is the cross-traffic helper (when present), using the
-/// full traffic ddmin + value-shrinking pipeline against the multi-flow
-/// simulation, and then the qdisc gene (when present), stepped toward
-/// drop-tail as far as the score allows.
-pub fn minimize_scenario(
-    evaluator: &SimEvaluator,
-    genome: &ScenarioGenome,
-    cfg: &MinimizeConfig,
-) -> (ScenarioGenome, MinimizeReport) {
-    let (mut minimized, mut report) = match &genome.traffic {
-        Some(traffic) => {
-            let wrapper = ScenarioTrafficEvaluator {
-                evaluator,
-                scenario: genome,
-            };
-            let (minimized_traffic, report) = minimize_traffic(&wrapper, traffic, cfg);
-            let mut minimized = genome.clone();
-            minimized.traffic = Some(minimized_traffic);
-            (minimized, report)
-        }
-        None => {
-            // Nothing trafficky to shrink: one evaluation to anchor the
-            // score and the retention threshold.
-            let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, genome).score;
-            (
-                genome.clone(),
-                MinimizeReport {
-                    original_packets: 0,
-                    minimized_packets: 0,
-                    original_score: score,
-                    minimized_score: score,
-                    threshold: score * cfg.retain_fraction,
-                    evaluations: 1,
-                    passes: vec!["scenario has no cross traffic; nothing to shrink".into()],
-                },
-            )
-        }
-    };
-    let mut budget = Budget {
-        spent: report.evaluations as usize,
-        max: cfg.max_evaluations.max(1),
-    };
-    let mut score = report.minimized_score;
-    qdisc_shrink_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    report.minimized_score = score;
-    report.evaluations = budget.spent as u64;
-    (minimized, report)
-}
-
-/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink
-/// a topology's cross-traffic sub-genome: every candidate traffic genome is
-/// re-embedded into the (otherwise fixed) topology before evaluation.
-struct TopologyTrafficEvaluator<'a> {
-    evaluator: &'a SimEvaluator,
-    topology: &'a TopologyGenome,
-}
-
-impl Evaluator<TrafficGenome> for TopologyTrafficEvaluator<'_> {
-    fn evaluate(&self, genome: &TrafficGenome) -> ccfuzz_core::evaluate::EvalOutcome {
-        let mut topology = self.topology.clone();
-        topology.traffic = Some(genome.clone());
-        Evaluator::<TopologyGenome>::evaluate(self.evaluator, &topology)
-    }
-}
-
-/// Tries to drop hops one index at a time (re-scanning from the front after
-/// every success), keeping a deletion whenever the re-simulated score
-/// retains the threshold: the minimized chain is the shortest prefix of
-/// bottlenecks the behaviour actually needs, ideally the single-hop
-/// dumbbell.
-fn hop_drop_pass(
-    evaluator: &SimEvaluator,
-    current: &mut TopologyGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    let start_hops = current.hop_count();
-    let mut at = 0usize;
-    while current.hop_count() > 1 && at < current.hop_count() && !budget.exhausted() {
-        let Some(candidate) = current.without_hop(at) else {
-            break;
-        };
-        budget.spent += 1;
-        let score = Evaluator::<TopologyGenome>::evaluate(evaluator, &candidate).score;
-        if score >= threshold {
-            *current = candidate;
-            *current_score = score;
-            // Restart the scan: removing this hop changes the dynamics, so
-            // a hop whose removal was rejected earlier may drop cleanly now.
-            at = 0;
-        } else {
-            at += 1;
-        }
-    }
-    passes.push(format!(
-        "drop-hops: {} -> {} hops",
-        start_hops,
-        current.hop_count()
-    ));
 }
 
 /// One step of relaxing hop `at` toward the paper's single-bottleneck
@@ -547,105 +477,30 @@ fn relaxed_hop(
     None
 }
 
-/// Relaxes every surviving hop's parameters toward the single-hop baseline
-/// (drop-tail, 100-packet buffer, the campaign's link rate, 20 ms delay),
-/// keeping each step only while the score holds: whatever stays tightened
-/// in the minimized finding is what the behaviour genuinely depends on.
-fn hop_relax_pass(
-    evaluator: &SimEvaluator,
-    current: &mut TopologyGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    let baseline_rate = evaluator.link_rate_bps;
-    for at in 0..current.hop_count() {
-        while !budget.exhausted() {
-            let Some((candidate, step)) = relaxed_hop(current, at, baseline_rate) else {
-                break;
-            };
-            budget.spent += 1;
-            let score = Evaluator::<TopologyGenome>::evaluate(evaluator, &candidate).score;
-            if score >= threshold {
-                passes.push(format!(
-                    "relax hop {at} {step}: accepted (score {score:.6})"
-                ));
-                *current = candidate;
-                *current_score = score;
-            } else {
-                passes.push(format!(
-                    "relax hop {at} {step}: rejected (score {score:.6} < {threshold:.6})"
-                ));
-                break;
-            }
+/// Topology genomes: the hop chain is the finding's substance, so
+/// minimization shrinks the cross-traffic helper with the full traffic
+/// pipeline against the multi-hop simulation, then pulls the chain toward
+/// the single-hop paper baseline from two directions: dropping whole hops
+/// (ideally down to the dumbbell), then relaxing each survivor's qdisc /
+/// buffer / rate / delay. Whatever stays tightened is what the behaviour
+/// genuinely depends on.
+impl Shrink<SimEvaluator> for TopologyGenome {
+    fn passes(s: &mut Shrinker<'_, Self, SimEvaluator>) {
+        s.traffic_passes("topology");
+        let hops = s.current.hop_count();
+        s.drop_each(0, TopologyGenome::hop_count, TopologyGenome::without_hop);
+        s.passes.push(format!(
+            "drop-hops: {hops} -> {} hops",
+            s.current.hop_count()
+        ));
+        let baseline_rate = s.evaluator.link_rate_bps;
+        for at in 0..s.current.hop_count() {
+            s.repeat(|current| {
+                let (candidate, step) = relaxed_hop(current, at, baseline_rate)?;
+                Some((candidate, format!("relax hop {at} {step}")))
+            });
         }
     }
-}
-
-/// Minimizes a topology genome. The hop chain is the finding's substance,
-/// so minimization pulls it toward the single-hop paper baseline from two
-/// directions — dropping whole hops, then relaxing the survivors' rate /
-/// buffer / delay / qdisc — and shrinks the cross-traffic helper with the
-/// full traffic ddmin + value-shrinking pipeline against the multi-hop
-/// simulation.
-pub fn minimize_topology(
-    evaluator: &SimEvaluator,
-    genome: &TopologyGenome,
-    cfg: &MinimizeConfig,
-) -> (TopologyGenome, MinimizeReport) {
-    let (mut minimized, mut report) = match &genome.traffic {
-        Some(traffic) => {
-            let wrapper = TopologyTrafficEvaluator {
-                evaluator,
-                topology: genome,
-            };
-            let (minimized_traffic, report) = minimize_traffic(&wrapper, traffic, cfg);
-            let mut minimized = genome.clone();
-            minimized.traffic = Some(minimized_traffic);
-            (minimized, report)
-        }
-        None => {
-            let score = Evaluator::<TopologyGenome>::evaluate(evaluator, genome).score;
-            (
-                genome.clone(),
-                MinimizeReport {
-                    original_packets: 0,
-                    minimized_packets: 0,
-                    original_score: score,
-                    minimized_score: score,
-                    threshold: score * cfg.retain_fraction,
-                    evaluations: 1,
-                    passes: vec!["topology has no cross traffic; nothing to shrink".into()],
-                },
-            )
-        }
-    };
-    let mut budget = Budget {
-        spent: report.evaluations as usize,
-        max: cfg.max_evaluations.max(1),
-    };
-    let mut score = report.minimized_score;
-    hop_drop_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    hop_relax_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    debug_assert!(minimized.hop_count() <= genome.hop_count());
-    report.minimized_score = score;
-    report.evaluations = budget.spent as u64;
-    (minimized, report)
 }
 
 /// Halves a workload's arrival rate, flooring at 1 flow/s. Returns `None`
@@ -664,173 +519,42 @@ fn thinned_arrivals(genome: &WorkloadGenome) -> Option<WorkloadGenome> {
     Some(child)
 }
 
-/// Keeps halving the arrival rate while the score holds: the minimized
-/// workload arrives only as fast as the behaviour actually needs.
-fn arrival_thin_pass(
-    evaluator: &SimEvaluator,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    while !budget.exhausted() {
-        let Some(candidate) = thinned_arrivals(current) else {
-            break;
-        };
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
-        let rate = candidate.arrivals.process.rate_per_sec();
-        if score >= threshold {
-            passes.push(format!(
-                "thin-arrivals {rate:.1}/s: accepted (score {score:.6})"
-            ));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "thin-arrivals {rate:.1}/s: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
+/// Workload genomes: the arrival genes are the finding's substance, so
+/// minimization pulls them toward the quietest workload that still shows
+/// the behaviour. It halves the arrival rate (fewer churning flows),
+/// collapses the flow-size distribution from the top (a finding that
+/// survives with mice-only sizes is far easier to reason about than one
+/// hiding behind a heavy tail), and drops background elephants (never the
+/// incumbent at index 0). Thinning arrivals first leaves fewer flows for
+/// the later passes to re-simulate, so the budget goes further.
+impl Shrink<SimEvaluator> for WorkloadGenome {
+    fn passes(s: &mut Shrinker<'_, Self, SimEvaluator>) {
+        s.repeat(|current| {
+            let candidate = thinned_arrivals(current)?;
+            let rate = candidate.arrivals.process.rate_per_sec();
+            Some((candidate, format!("thin-arrivals {rate:.1}/s")))
+        });
+        s.repeat(|current| {
+            let size = current.arrivals.size;
+            let new_max = (size.max_packets / 2).max(size.min_packets);
+            if new_max == size.max_packets {
+                return None;
+            }
+            let mut candidate = current.clone();
+            candidate.arrivals.size.max_packets = new_max;
+            Some((candidate, format!("collapse-sizes max={new_max}pkt")))
+        });
+        let elephants = s.current.elephant_count();
+        s.drop_each(1, WorkloadGenome::elephant_count, |current, at| {
+            let mut candidate = current.clone();
+            candidate.elephants.remove(at);
+            Some(candidate)
+        });
+        s.passes.push(format!(
+            "drop-elephants: {elephants} -> {} elephants",
+            s.current.elephant_count()
+        ));
     }
-}
-
-/// Collapses the flow-size distribution from the top: repeatedly halve the
-/// largest size class toward the smallest, keeping each step only while the
-/// score holds. A tail-latency finding that survives with mice-only sizes is
-/// far easier to reason about than one hiding behind a heavy tail.
-fn size_collapse_pass(
-    evaluator: &SimEvaluator,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    while !budget.exhausted() {
-        let size = current.arrivals.size;
-        let new_max = (size.max_packets / 2).max(size.min_packets);
-        if new_max == size.max_packets {
-            break;
-        }
-        let mut candidate = current.clone();
-        candidate.arrivals.size.max_packets = new_max;
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
-        if score >= threshold {
-            passes.push(format!(
-                "collapse-sizes max={new_max}pkt: accepted (score {score:.6})"
-            ));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "collapse-sizes max={new_max}pkt: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
-    }
-}
-
-/// Tries to drop background elephants one index at a time (never the
-/// incumbent at index 0, re-scanning after every success), keeping each
-/// removal while the score holds: the minimized elephant mix is the smallest
-/// background the tail inflation actually needs.
-fn elephant_drop_pass(
-    evaluator: &SimEvaluator,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget,
-    passes: &mut Vec<String>,
-) {
-    let start_elephants = current.elephant_count();
-    let mut at = 1usize;
-    while current.elephant_count() > 1 && at < current.elephant_count() && !budget.exhausted() {
-        let mut candidate = current.clone();
-        candidate.elephants.remove(at);
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
-        if score >= threshold {
-            *current = candidate;
-            *current_score = score;
-            // Restart behind the incumbent: removing one elephant changes
-            // the contention, so earlier rejections may drop cleanly now.
-            at = 1;
-        } else {
-            at += 1;
-        }
-    }
-    passes.push(format!(
-        "drop-elephants: {} -> {} elephants",
-        start_elephants,
-        current.elephant_count()
-    ));
-}
-
-/// Minimizes a workload genome. The arrival genes are the finding's
-/// substance, so minimization pulls them toward the quietest workload that
-/// still shows the behaviour: halve the arrival rate (fewer churning flows),
-/// collapse the size classes from the top (lighter tail), and drop
-/// background elephants, each step kept only while the re-simulated score
-/// retains the threshold.
-pub fn minimize_workload(
-    evaluator: &SimEvaluator,
-    genome: &WorkloadGenome,
-    cfg: &MinimizeConfig,
-) -> (WorkloadGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        Evaluator::<WorkloadGenome>::evaluate(evaluator, genome).score
-    };
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
-
-    // Order matters: thinning arrivals first leaves fewer flows for the
-    // size and elephant passes to re-simulate, so the budget goes further.
-    arrival_thin_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-    size_collapse_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-    elephant_drop_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-
-    debug_assert!(current.elephant_count() <= genome.elephant_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
 }
 
 /// Minimizes a stored finding: shrinks its genome with the finding's own
@@ -838,33 +562,11 @@ pub fn minimize_workload(
 pub fn minimize_finding(finding: &Finding, cfg: &MinimizeConfig) -> (Finding, MinimizeReport) {
     let evaluator = finding.evaluator();
     let mut out = finding.clone();
-    let report = match &finding.genome {
-        GenomePayload::Traffic(genome) => {
-            let (minimized, report) = minimize_traffic(&evaluator, genome, cfg);
-            out.genome = GenomePayload::Traffic(minimized);
-            report
-        }
-        GenomePayload::Link(genome) => {
-            let (minimized, report) = minimize_link(&evaluator, genome, cfg);
-            out.genome = GenomePayload::Link(minimized);
-            report
-        }
-        GenomePayload::Scenario(genome) => {
-            let (minimized, report) = minimize_scenario(&evaluator, genome, cfg);
-            out.genome = GenomePayload::Scenario(minimized);
-            report
-        }
-        GenomePayload::Topology(genome) => {
-            let (minimized, report) = minimize_topology(&evaluator, genome, cfg);
-            out.genome = GenomePayload::Topology(minimized);
-            report
-        }
-        GenomePayload::Workload(genome) => {
-            let (minimized, report) = minimize_workload(&evaluator, genome, cfg);
-            out.genome = GenomePayload::Workload(minimized);
-            report
-        }
-    };
+    let report;
+    (out.genome, report) = each_genome!(&finding.genome, genome => {
+        let (minimized, report) = minimize(&evaluator, genome, cfg);
+        (minimized.into(), report)
+    });
     // One final simulation refreshes the outcome, the digest and (for
     // scenarios) the per-flow fairness summary.
     let (outcome, digest, fairness) = out.replay_full(None);

@@ -195,7 +195,6 @@ fn aqm_findings_roundtrip_hunt_minimize_replay() {
     let cfg = MinimizeConfig {
         retain_fraction: 0.8,
         max_evaluations: 150,
-        ..Default::default()
     };
     let (minimized, report) = minimize_finding(&finding, &cfg);
     assert!(report.minimized_packets <= report.original_packets);
@@ -259,7 +258,6 @@ fn aqm_minimizer_shrinks_qdisc_toward_drop_tail_when_harmless() {
     let cfg = MinimizeConfig {
         retain_fraction: 0.8,
         max_evaluations: 50,
-        ..Default::default()
     };
     let (minimized, report) = minimize_finding(&finding, &cfg);
     let GenomePayload::Scenario(min_scenario) = &minimized.genome else {
