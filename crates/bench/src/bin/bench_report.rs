@@ -329,7 +329,7 @@ fn single_flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
     time_workload(reps, || {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        let result = run_simulation(cfg, CcaKind::Reno.build(10));
+        let result = run_simulation(cfg, CcaKind::Reno.build_dispatch(10));
         std::hint::black_box(result.stats.events_processed)
     })
 }
@@ -353,11 +353,11 @@ fn fairness_8flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         let mut cfg = paper_sim_base(duration);
         cfg.record_events = false;
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), duration);
-        let specs: Vec<FlowSpec> = kinds
+        let specs: Vec<FlowSpec<_>> = kinds
             .iter()
             .enumerate()
             .map(|(i, kind)| FlowSpec {
-                cc: kind.build(10),
+                cc: kind.build_dispatch(10),
                 start: SimTime::from_millis(i as u64 * 250),
                 stop: None,
             })
@@ -377,9 +377,9 @@ fn fairness_32flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         let mut cfg = paper_sim_base(duration);
         cfg.record_events = false;
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), duration);
-        let specs: Vec<FlowSpec> = (0..32)
+        let specs: Vec<FlowSpec<_>> = (0..32)
             .map(|i| FlowSpec {
-                cc: kinds[i % kinds.len()].build(10),
+                cc: kinds[i % kinds.len()].build_dispatch(10),
                 start: SimTime::from_millis(i as u64 * 100),
                 stop: None,
             })
@@ -402,14 +402,14 @@ fn multi_hop(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         ]);
         topology.paths = vec![HopRange::full(3), HopRange::new(1, 1)];
         cfg.topology = Some(topology);
-        let specs: Vec<FlowSpec> = vec![
+        let specs: Vec<FlowSpec<_>> = vec![
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build_dispatch(10),
                 start: SimTime::ZERO,
                 stop: None,
             },
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build_dispatch(10),
                 start: SimTime::from_millis(500),
                 stop: None,
             },
@@ -441,9 +441,8 @@ fn workload_2k(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
             max_concurrent: 128,
             max_arrivals: 50_000,
         });
-        // Arrivals clone their controller from a prototype pool, so this
-        // workload runs on the clonable `CcaDispatch` (the evaluator's own
-        // representation) rather than boxed trait objects.
+        // Arrivals clone their controller from a prototype pool of
+        // `CcaDispatch`, the evaluator's own representation.
         let specs = vec![FlowSpec {
             cc: CcaKind::Reno.build_dispatch(10),
             start: SimTime::ZERO,

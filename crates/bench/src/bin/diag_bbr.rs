@@ -11,7 +11,7 @@ fn main() {
     let mut cfg = paper_sim_base(SimDuration::from_secs(5));
     cfg.record_events = true;
     let mss = cfg.mss;
-    let result = run_simulation(cfg, CcaKind::Bbr.build(10));
+    let result = run_simulation(cfg, CcaKind::Bbr.build_dispatch(10));
     let f = result.stats.flow();
     println!(
         "delivered={} tx={} retx={} lost={} rtos={} goodput={:.2}Mbps",

@@ -14,7 +14,7 @@ fn main() {
     for kind in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr, CcaKind::Vegas] {
         let mut cfg = paper_sim_base(duration);
         cfg.record_events = false;
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build_dispatch(10));
         println!("single/{}: {:#018x}", kind.name(), result.stats.digest());
     }
 
@@ -25,17 +25,17 @@ fn main() {
     cfg.cross_traffic = TrafficTrace::new(injections, duration);
     let specs = vec![
         FlowSpec {
-            cc: CcaKind::Bbr.build(10),
+            cc: CcaKind::Bbr.build_dispatch(10),
             start: SimTime::ZERO,
             stop: None,
         },
         FlowSpec {
-            cc: CcaKind::Reno.build(10),
+            cc: CcaKind::Reno.build_dispatch(10),
             start: SimTime::from_millis(500),
             stop: Some(SimTime::from_secs_f64(4.0)),
         },
         FlowSpec {
-            cc: CcaKind::Cubic.build(10),
+            cc: CcaKind::Cubic.build_dispatch(10),
             start: SimTime::from_secs_f64(1.0),
             stop: None,
         },

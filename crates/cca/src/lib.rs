@@ -15,10 +15,10 @@
 //!
 //! All algorithms implement
 //! [`CongestionControl`](ccfuzz_netsim::cc::CongestionControl) and are
-//! constructed either directly or through the [`CcaKind`] factory that the
-//! fuzzer configuration uses. The [`dispatch`] module provides
-//! [`CcaDispatch`], an enum-dispatched wrapper the fuzzer's hot path uses
-//! instead of `Box<dyn CongestionControl>` to avoid per-ACK virtual calls.
+//! constructed either directly or through [`CcaKind::build_dispatch`], the
+//! factory the fuzzer configuration uses. It returns [`CcaDispatch`], an
+//! enum over the algorithms, so the per-ACK calls are statically
+//! dispatched.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,6 @@ pub use dispatch::CcaDispatch;
 pub use reno::{Reno, RenoConfig};
 pub use vegas::{Vegas, VegasConfig};
 
-use ccfuzz_netsim::cc::CongestionControl;
 use serde::{Deserialize, Serialize};
 
 /// Identifies a congestion control algorithm variant; the factory used by
@@ -93,7 +92,7 @@ impl CcaKind {
 
     /// Parses a comma-separated list of CCA names (e.g. `"bbr,reno"`), as
     /// used by multi-flow fairness scenarios where every flow instantiates
-    /// its own boxed algorithm. Whitespace around names and empty segments
+    /// its own algorithm. Whitespace around names and empty segments
     /// are ignored; an unknown name yields an error naming it.
     pub fn parse_list(list: &str) -> Result<Vec<CcaKind>, String> {
         let mut kinds = Vec::new();
@@ -115,50 +114,12 @@ impl CcaKind {
         }
         Ok(kinds)
     }
-
-    /// Builds a fresh algorithm instance with an initial window of
-    /// `initial_cwnd` packets.
-    pub fn build(&self, initial_cwnd: u64) -> Box<dyn CongestionControl> {
-        match self {
-            CcaKind::Reno => Box::new(Reno::new(RenoConfig {
-                initial_cwnd,
-                ..RenoConfig::default()
-            })),
-            CcaKind::Cubic => Box::new(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::CappedAtSsthresh,
-                ..CubicConfig::default()
-            })),
-            CcaKind::CubicNs3Buggy => Box::new(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::Ns3Uncapped,
-                ..CubicConfig::default()
-            })),
-            CcaKind::Bbr => Box::new(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: false,
-                ..BbrConfig::default()
-            })),
-            CcaKind::BbrProbeRttOnRto => Box::new(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: true,
-                ..BbrConfig::default()
-            })),
-            CcaKind::Vegas => Box::new(Vegas::new(VegasConfig {
-                initial_cwnd,
-                ..VegasConfig::default()
-            })),
-            CcaKind::Dctcp => Box::new(Dctcp::new(DctcpConfig {
-                initial_cwnd,
-                ..DctcpConfig::default()
-            })),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccfuzz_netsim::cc::CongestionControl;
 
     #[test]
     fn names_roundtrip() {
@@ -201,11 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn each_parsed_flow_gets_its_own_boxed_instance() {
+    fn each_parsed_flow_gets_its_own_instance() {
         // The multi-flow engine builds one CC per flow; instances must be
         // independent state machines even for the same kind.
         let kinds = CcaKind::parse_list("reno,reno").unwrap();
-        let ccs: Vec<_> = kinds.iter().map(|k| k.build(10)).collect();
+        let ccs: Vec<_> = kinds.iter().map(|k| k.build_dispatch(10)).collect();
         assert_eq!(ccs.len(), 2);
         assert_eq!(ccs[0].name(), ccs[1].name());
     }
@@ -213,11 +174,11 @@ mod tests {
     #[test]
     fn factory_builds_named_algorithms() {
         for kind in CcaKind::ALL {
-            let cc = kind.build(10);
+            let cc = kind.build_dispatch(10);
             assert!(!cc.name().is_empty());
             assert!(cc.cwnd() >= 1);
         }
-        assert_eq!(CcaKind::Bbr.build(10).name(), "bbr");
-        assert_eq!(CcaKind::Reno.build(10).name(), "reno");
+        assert_eq!(CcaKind::Bbr.build_dispatch(10).name(), "bbr");
+        assert_eq!(CcaKind::Reno.build_dispatch(10).name(), "reno");
     }
 }

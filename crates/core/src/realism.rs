@@ -69,7 +69,7 @@ impl RealismScorer {
                 trace: genome.to_trace(),
             };
             cfg.cross_traffic = TrafficTrace::empty(genome.duration);
-            let result = run_simulation(cfg.clone(), cca.build(cfg.initial_cwnd));
+            let result = run_simulation(cfg.clone(), cca.build_dispatch(cfg.initial_cwnd));
             let goodput = result.average_goodput_bps(self.base.mss);
             normalized.push((cca.name().to_string(), (goodput / reference).min(1.5)));
         }

@@ -42,7 +42,7 @@
 //! use ccfuzz_netsim::cc::reference_cc::FixedWindowCc;
 //!
 //! let cfg = SimConfig::paper_default();
-//! let cc = Box::new(FixedWindowCc::new(10));
+//! let cc = FixedWindowCc::new(10);
 //! let mut sim = Simulation::new(cfg, cc);
 //! let result = sim.run();
 //! assert!(result.stats.flow().delivered_packets > 0);

@@ -103,7 +103,7 @@ impl SimResult {
 }
 
 /// One congestion-controlled flow to simulate: its algorithm and schedule.
-pub struct FlowSpec<C: CongestionControl = Box<dyn CongestionControl>> {
+pub struct FlowSpec<C: CongestionControl> {
     /// The congestion control algorithm driving the flow.
     pub cc: C,
     /// When the flow starts sending.
@@ -332,7 +332,7 @@ impl WorkloadRt {
 /// generation runs through one recycled allocation set. Results are
 /// bit-identical with or without scratch reuse — the scratch only donates
 /// capacity, never state.
-pub struct SimScratch<C: CongestionControl = Box<dyn CongestionControl>> {
+pub struct SimScratch<C: CongestionControl> {
     events: EventQueue,
     pool: PacketPool,
     drop_buf: Vec<DataPacket>,
@@ -468,9 +468,9 @@ struct Hop {
 }
 
 /// The dumbbell simulation, generic over the congestion-control type shared
-/// by its flows (defaults to `Box<dyn CongestionControl>` for trait-object
-/// call sites; the fuzzer instantiates `C = CcaDispatch` for enum dispatch).
-pub struct Simulation<C: CongestionControl = Box<dyn CongestionControl>> {
+/// by its flows (the fuzzer instantiates `C = CcaDispatch` for enum
+/// dispatch; custom controllers plug in by concrete type).
+pub struct Simulation<C: CongestionControl> {
     cfg: SimConfig,
     events: EventQueue,
     pool: PacketPool,
@@ -1726,41 +1726,6 @@ pub fn run_multi_flow_simulation<C: CongestionControl>(
     Simulation::new_multi(cfg, specs).run()
 }
 
-/// The fully pooled entry point of the batch evaluator: drains `specs`
-/// (keeping the caller's vector and its capacity) and recycles every other
-/// heap structure through `scratch`, so a warm worker builds and runs the
-/// whole simulation allocation-free. Results are bit-identical to
-/// [`run_multi_flow_simulation`].
-pub fn run_multi_flow_simulation_pooled<C: CongestionControl>(
-    cfg: SimConfig,
-    specs: &mut Vec<FlowSpec<C>>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut sim = Simulation::new_multi_reusing(cfg, specs, std::mem::take(scratch));
-    let result = sim.run();
-    *scratch = sim.into_scratch();
-    result
-}
-
-/// The pooled entry point for dynamic-arrival workload runs: like
-/// [`run_multi_flow_simulation_pooled`] but also arms the flow-churn engine.
-/// `cfg.arrivals` must be `Some`; `specs` are the static background flows
-/// (elephants) and `protos` the CCA prototypes arrivals clone from (drained
-/// into the scratch-held pool on first use, refilled in place thereafter, so
-/// warm calls stay allocation-free).
-pub fn run_workload_simulation_pooled<C: CongestionControl + Clone + 'static>(
-    cfg: SimConfig,
-    specs: &mut Vec<FlowSpec<C>>,
-    protos: &mut Vec<C>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut sim = Simulation::new_multi_reusing(cfg, specs, std::mem::take(scratch));
-    sim.install_arrivals(protos);
-    let result = sim.run();
-    *scratch = sim.into_scratch();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1776,14 +1741,55 @@ mod tests {
         cfg
     }
 
-    fn boxed(cc: impl CongestionControl + 'static) -> Box<dyn CongestionControl> {
-        Box::new(cc)
+    /// The two reference controllers behind one type, for runs whose flows
+    /// mix them.
+    #[derive(Debug)]
+    enum RefCc {
+        Aimd(MiniAimdCc),
+        Fixed(FixedWindowCc),
+    }
+
+    impl CongestionControl for RefCc {
+        fn name(&self) -> &'static str {
+            match self {
+                RefCc::Aimd(cc) => cc.name(),
+                RefCc::Fixed(cc) => cc.name(),
+            }
+        }
+        fn on_ack(&mut self, ctx: &crate::cc::CcContext, rs: &crate::cc::RateSample) {
+            match self {
+                RefCc::Aimd(cc) => cc.on_ack(ctx, rs),
+                RefCc::Fixed(cc) => cc.on_ack(ctx, rs),
+            }
+        }
+        fn on_congestion(
+            &mut self,
+            ctx: &crate::cc::CcContext,
+            signal: crate::cc::CongestionSignal,
+        ) {
+            match self {
+                RefCc::Aimd(cc) => cc.on_congestion(ctx, signal),
+                RefCc::Fixed(cc) => cc.on_congestion(ctx, signal),
+            }
+        }
+        fn cwnd(&self) -> u64 {
+            match self {
+                RefCc::Aimd(cc) => cc.cwnd(),
+                RefCc::Fixed(cc) => cc.cwnd(),
+            }
+        }
+        fn ssthresh(&self) -> u64 {
+            match self {
+                RefCc::Aimd(cc) => cc.ssthresh(),
+                RefCc::Fixed(cc) => cc.ssthresh(),
+            }
+        }
     }
 
     #[test]
     fn fixed_window_flow_delivers_packets() {
         let cfg = base_cfg();
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(10)));
+        let result = run_simulation(cfg, FixedWindowCc::new(10));
         assert!(
             result.stats.flow().delivered_packets > 100,
             "delivered {}",
@@ -1802,14 +1808,14 @@ mod tests {
         // With a 1-packet window every packet waits for the receiver's
         // delayed-ACK timer (200 ms) plus the 40 ms RTT: ~21 packets in 5 s.
         let cfg = base_cfg();
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(1)));
+        let result = run_simulation(cfg, FixedWindowCc::new(1));
         let delivered = result.stats.flow().delivered_packets;
         assert!((15..=30).contains(&delivered), "delivered {delivered}");
 
         // Disabling delayed ACKs removes the penalty: one packet per RTT.
         let mut cfg = base_cfg();
         cfg.delayed_ack = false;
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(1)));
+        let result = run_simulation(cfg, FixedWindowCc::new(1));
         let delivered = result.stats.flow().delivered_packets;
         assert!((100..=135).contains(&delivered), "delivered {delivered}");
     }
@@ -1818,7 +1824,7 @@ mod tests {
     fn aimd_fills_12mbps_link() {
         let cfg = base_cfg();
         let mss = cfg.mss;
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         let goodput = result.average_goodput_bps(mss);
         // Should reach a reasonable fraction of the 12 Mbps bottleneck.
         assert!(goodput > 6e6, "goodput only {goodput} bps");
@@ -1826,27 +1832,16 @@ mod tests {
     }
 
     #[test]
-    fn static_dispatch_matches_boxed_dispatch() {
-        // The same controller plugged in as a concrete type and as a trait
-        // object must produce byte-identical behaviour — the enum-dispatch
-        // fast path cannot change results.
-        let concrete = run_simulation(base_cfg(), MiniAimdCc::new(10));
-        let dynamic = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
-        assert_eq!(concrete.stats.digest(), dynamic.stats.digest());
-        assert_eq!(
-            concrete.stats.events_processed,
-            dynamic.stats.events_processed
-        );
-    }
-
-    #[test]
     fn scratch_reuse_is_bit_identical() {
         let mut scratch = SimScratch::new();
-        let fresh = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let fresh = run_simulation(base_cfg(), MiniAimdCc::new(10));
         for _ in 0..3 {
-            let mut specs = vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))];
-            let reused = run_multi_flow_simulation_pooled(base_cfg(), &mut specs, &mut scratch);
-            assert!(specs.is_empty(), "the pooled run drains the specs");
+            let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
+            let mut sim =
+                Simulation::new_multi_reusing(base_cfg(), &mut specs, std::mem::take(&mut scratch));
+            let reused = sim.run();
+            scratch = sim.into_scratch();
+            assert!(specs.is_empty(), "the reusing constructor drains the specs");
             assert_eq!(fresh.stats.digest(), reused.stats.digest());
             assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
         }
@@ -1856,7 +1851,7 @@ mod tests {
     fn oversized_window_causes_drops_and_retransmissions() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(20);
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(500)));
+        let result = run_simulation(cfg, FixedWindowCc::new(500));
         assert!(
             result.stats.flow().queue_drops > 0,
             "a 500-packet window must overflow a 20-packet queue"
@@ -1872,7 +1867,7 @@ mod tests {
         let trace = LinkTrace::constant_rate(12_000_000, cfg.mss, SimDuration::from_millis(200));
         let opportunities = trace.len() as u64;
         cfg.link = LinkModel::TraceDriven { trace };
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(50)));
+        let result = run_simulation(cfg, FixedWindowCc::new(50));
         assert!(
             result.stats.flow().delivered_packets <= opportunities,
             "cannot deliver more than the trace's {} opportunities, got {}",
@@ -1890,9 +1885,9 @@ mod tests {
         let injections: Vec<SimTime> = (0..2000).map(|i| SimTime::from_micros(i * 2_500)).collect();
         cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
         let mss = cfg.mss;
-        let with_cross = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let with_cross = run_simulation(cfg, MiniAimdCc::new(10));
 
-        let without_cross = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let without_cross = run_simulation(base_cfg(), MiniAimdCc::new(10));
         assert!(
             with_cross.average_goodput_bps(mss) < without_cross.average_goodput_bps(mss),
             "cross traffic must reduce CCA goodput"
@@ -1903,7 +1898,7 @@ mod tests {
     #[test]
     fn deterministic_repeatability() {
         let run = || {
-            let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+            let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
             (
                 result.stats.flow().delivered_packets,
                 result.stats.flow().transmissions,
@@ -1922,7 +1917,7 @@ mod tests {
     fn queuing_delay_bounded_by_queue_size() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(50);
-        let result = run_simulation(cfg.clone(), boxed(FixedWindowCc::new(200)));
+        let result = run_simulation(cfg.clone(), FixedWindowCc::new(200));
         // Max queuing delay is bounded by 50 packets * ~1ms serialisation.
         let max_delay = result
             .stats
@@ -1943,7 +1938,7 @@ mod tests {
 
     #[test]
     fn delivery_times_monotone_and_match_summary() {
-        let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let times = result.stats.delivery_times();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         // The receiver-side count can exceed the sender's `delivered` by at
@@ -1961,7 +1956,7 @@ mod tests {
     fn stats_disabled_still_produces_summary() {
         let mut cfg = base_cfg();
         cfg.record_events = false;
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         assert!(result.stats.bottleneck.is_empty());
         assert!(result.stats.transport.is_empty());
         assert!(result.stats.flow().delivered_packets > 0);
@@ -1973,7 +1968,7 @@ mod tests {
         cfg.link = LinkModel::TraceDriven {
             trace: LinkTrace::new(Vec::new(), cfg.duration),
         };
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(10)));
+        let result = run_simulation(cfg, FixedWindowCc::new(10));
         assert_eq!(result.stats.flow().delivered_packets, 0);
         // The sender will RTO repeatedly but must not hang or panic.
         assert!(result.stats.flow().rto_count > 0);
@@ -1985,7 +1980,7 @@ mod tests {
         cfg.queue_capacity = QueueCapacity::Packets(30);
         let injections: Vec<SimTime> = (0..1000).map(|i| SimTime::from_micros(i * 4_000)).collect();
         cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         let c = result.stats.queue_counters;
         assert!(
             c.total_enqueued() >= c.total_dequeued(),
@@ -2003,9 +1998,8 @@ mod tests {
     #[test]
     fn single_flow_and_multi_constructor_agree() {
         // A single-spec `new_multi` must be indistinguishable from `new`.
-        let a = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
-        let b =
-            run_multi_flow_simulation(base_cfg(), vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))]);
+        let a = run_simulation(base_cfg(), MiniAimdCc::new(10));
+        let b = run_multi_flow_simulation(base_cfg(), vec![FlowSpec::new(MiniAimdCc::new(10))]);
         assert_eq!(a.stats.digest(), b.stats.digest());
         assert_eq!(a.stats.events_processed, b.stats.events_processed);
         assert_eq!(a.stats.flows.len(), 1);
@@ -2016,8 +2010,8 @@ mod tests {
         let result = run_multi_flow_simulation(
             base_cfg(),
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         assert_eq!(result.stats.flows.len(), 2);
@@ -2031,12 +2025,12 @@ mod tests {
     #[test]
     fn two_flows_share_the_bottleneck() {
         let mss = base_cfg().mss;
-        let solo = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let solo = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let pair = run_multi_flow_simulation(
             base_cfg(),
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         let goodputs = pair.per_flow_goodput_bps(mss);
@@ -2062,9 +2056,9 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
                 FlowSpec {
-                    cc: boxed(MiniAimdCc::new(10)),
+                    cc: MiniAimdCc::new(10),
                     start,
                     stop: Some(stop),
                 },
@@ -2095,9 +2089,9 @@ mod tests {
             let result = run_multi_flow_simulation(
                 base_cfg(),
                 vec![
-                    FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                    FlowSpec::new(RefCc::Aimd(MiniAimdCc::new(10))),
                     FlowSpec {
-                        cc: boxed(FixedWindowCc::new(30)),
+                        cc: RefCc::Fixed(FixedWindowCc::new(30)),
                         start: SimTime::from_millis(500),
                         stop: None,
                     },
@@ -2156,10 +2150,10 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(EcnProbeCc {
+                cc: EcnProbeCc {
                     window: 200, // deep standing queue, above min_thresh
                     ece_seen: ece_seen.clone(),
-                }),
+                },
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2193,7 +2187,7 @@ mod tests {
             mark_probability: 0.5,
         };
         cfg.ecn_enabled = false;
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(200)));
+        let result = run_simulation(cfg, FixedWindowCc::new(200));
         let f = result.stats.flow();
         assert_eq!(f.ce_marked, 0, "no marks without ECN negotiation");
         assert_eq!(f.ece_acked, 0);
@@ -2212,7 +2206,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(FixedWindowCc::new(200)),
+                cc: FixedWindowCc::new(200),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2230,10 +2224,10 @@ mod tests {
     fn drop_tail_run_digest_is_independent_of_ecn_negotiation() {
         // ECN on a drop-tail path never marks, so the digest must not move:
         // the ECN block only mixes into the digest when marks exist.
-        let plain = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let plain = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let mut cfg = base_cfg();
         cfg.ecn_enabled = true;
-        let ecn = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let ecn = run_simulation(cfg, MiniAimdCc::new(10));
         assert_eq!(ecn.stats.flow().ce_marked, 0);
         assert_eq!(plain.stats.digest(), ecn.stats.digest());
     }
@@ -2245,9 +2239,7 @@ mod tests {
             cfg.record_events = false;
             cfg.qdisc = qdisc;
             cfg.ecn_enabled = true;
-            run_simulation(cfg, boxed(MiniAimdCc::new(50)))
-                .stats
-                .digest()
+            run_simulation(cfg, MiniAimdCc::new(50)).stats.digest()
         };
         for qdisc in [Qdisc::red_default(100), Qdisc::codel_default()] {
             assert_eq!(
@@ -2270,7 +2262,7 @@ mod tests {
         // A one-hop topology assembled from the legacy fields must be
         // indistinguishable from the config without a topology: same
         // digest, same event count (the seed of hop 0 is the legacy seed).
-        let legacy = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let legacy = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let mut cfg = base_cfg();
         cfg.topology = Some(Topology::chain(vec![HopConfig {
             link: cfg.link.clone(),
@@ -2278,7 +2270,7 @@ mod tests {
             queue_capacity: cfg.queue_capacity,
             qdisc: cfg.qdisc,
         }]));
-        let topo = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let topo = run_simulation(cfg, MiniAimdCc::new(10));
         assert_eq!(legacy.stats.digest(), topo.stats.digest());
         assert_eq!(legacy.stats.events_processed, topo.stats.events_processed);
         assert_eq!(topo.stats.hop_counters.len(), 1);
@@ -2307,7 +2299,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(MiniAimdCc::new(10)),
+                cc: MiniAimdCc::new(10),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2335,7 +2327,7 @@ mod tests {
         // Two 10 ms hops = 20 ms one-way = 40 ms RTT, same as the paper's
         // single 20 ms hop; min_rtt must reflect the summed path.
         let cfg = chain_cfg(&[12, 12]);
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(2)));
+        let result = run_simulation(cfg, FixedWindowCc::new(2));
         let min_rtt_us = result.stats.flow().min_rtt_us;
         assert!(
             (40_000..46_000).contains(&min_rtt_us),
@@ -2351,8 +2343,8 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         let hops = &result.stats.hop_counters;
@@ -2374,7 +2366,7 @@ mod tests {
     #[test]
     fn multi_hop_runs_are_deterministic_and_digest_hop_sensitive() {
         let run = |rates: &[u64]| {
-            run_simulation(chain_cfg(rates), boxed(MiniAimdCc::new(10)))
+            run_simulation(chain_cfg(rates), MiniAimdCc::new(10))
                 .stats
                 .digest()
         };
@@ -2407,7 +2399,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(FixedWindowCc::new(120)),
+                cc: FixedWindowCc::new(120),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2436,7 +2428,7 @@ mod tests {
 
     fn run_traced(
         cfg: SimConfig,
-        cc: Box<dyn CongestionControl>,
+        cc: impl CongestionControl,
     ) -> (SimResult, crate::simtrace::SimTrace) {
         let mut sim = Simulation::new(cfg, cc);
         sim.install_tracer(1 << 14);
@@ -2449,8 +2441,8 @@ mod tests {
     fn traced_run_digest_matches_untraced_run() {
         // The recorder is a pure observer: digests and event counts are
         // byte-identical with and without it, for drop-tail and AQM+ECN.
-        let plain = run_simulation(base_cfg(), boxed(MiniAimdCc::new(50)));
-        let (traced, trace) = run_traced(base_cfg(), boxed(MiniAimdCc::new(50)));
+        let plain = run_simulation(base_cfg(), MiniAimdCc::new(50));
+        let (traced, trace) = run_traced(base_cfg(), MiniAimdCc::new(50));
         assert_eq!(plain.stats.digest(), traced.stats.digest());
         assert_eq!(plain.stats.events_processed, traced.stats.events_processed);
         assert!(!trace.events.is_empty());
@@ -2458,8 +2450,8 @@ mod tests {
         let mut aqm_cfg = base_cfg();
         aqm_cfg.qdisc = Qdisc::red_default(100);
         aqm_cfg.ecn_enabled = true;
-        let plain = run_simulation(aqm_cfg.clone(), boxed(MiniAimdCc::new(50)));
-        let (traced, _) = run_traced(aqm_cfg, boxed(MiniAimdCc::new(50)));
+        let plain = run_simulation(aqm_cfg.clone(), MiniAimdCc::new(50));
+        let (traced, _) = run_traced(aqm_cfg, MiniAimdCc::new(50));
         assert_eq!(plain.stats.digest(), traced.stats.digest());
     }
 
@@ -2467,7 +2459,7 @@ mod tests {
     fn trace_captures_cwnd_queue_samples_and_drops() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(20);
-        let (result, trace) = run_traced(cfg, boxed(MiniAimdCc::new(200)));
+        let (result, trace) = run_traced(cfg, MiniAimdCc::new(200));
         assert!(result.stats.flow().queue_drops > 0);
         let kinds = |k: &str| trace.events.iter().filter(|r| r.event.kind() == k).count();
         assert!(kinds("cwnd") > 0, "cwnd updates recorded");
@@ -2505,7 +2497,7 @@ mod tests {
             mark_probability: 0.5,
         };
         cfg.ecn_enabled = true;
-        let (result, trace) = run_traced(cfg, boxed(MiniAimdCc::new(120)));
+        let (result, trace) = run_traced(cfg, MiniAimdCc::new(120));
         assert!(result.stats.flow().ce_marked > 0);
         let marks = trace
             .events
@@ -2540,10 +2532,10 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(FixedWindowCc::new(40))),
+                FlowSpec::new(RefCc::Aimd(MiniAimdCc::new(10))),
+                FlowSpec::new(RefCc::Fixed(FixedWindowCc::new(40))),
                 FlowSpec {
-                    cc: boxed(MiniAimdCc::new(5)),
+                    cc: RefCc::Aimd(MiniAimdCc::new(5)),
                     start: SimTime::from_secs_f64(1.0),
                     stop: Some(SimTime::from_secs_f64(4.0)),
                 },
@@ -2591,7 +2583,11 @@ mod tests {
     fn run_workload(cfg: SimConfig, scratch: &mut SimScratch<MiniAimdCc>) -> SimResult {
         let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
         let mut protos = vec![MiniAimdCc::new(4)];
-        run_workload_simulation_pooled(cfg, &mut specs, &mut protos, scratch)
+        let mut sim = Simulation::new_multi_reusing(cfg, &mut specs, std::mem::take(scratch));
+        sim.install_arrivals(&mut protos);
+        let result = sim.run();
+        *scratch = sim.into_scratch();
+        result
     }
 
     #[test]
@@ -2618,7 +2614,7 @@ mod tests {
 
     #[test]
     fn workload_stats_absent_without_arrivals() {
-        let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
         assert!(result.stats.workload().is_none());
         assert_eq!(result.stats.delivery_samples_dropped, 0);
     }

@@ -5,7 +5,7 @@
 //! order the binary heap did, the packet pool and inline SACK lists change
 //! only allocation, and enum dispatch runs the very same algorithm code.
 //! These constants were recorded by `digest_probe` on the pre-optimization
-//! engine (BinaryHeap calendar, `Box<dyn CongestionControl>` everywhere);
+//! engine (BinaryHeap calendar, boxed trait-object controllers everywhere);
 //! any drift here means the "optimization" changed simulation semantics and
 //! silently invalidated every committed corpus fixture and paper figure.
 //!
@@ -163,23 +163,6 @@ fn paper_scenario_digests_match_pre_optimization_engine() {
             result.stats.digest(),
             golden,
             "digest drift for {} — the hot-path overhaul changed behaviour",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn boxed_dispatch_matches_the_same_golden_digests() {
-    // The trait-object path must agree with both the enum path and the
-    // pre-overhaul recording.
-    for (kind, golden) in GOLDEN_SINGLE_FLOW {
-        let mut cfg = paper_sim_base(SimDuration::from_secs(5));
-        cfg.record_events = false;
-        let result = run_simulation(cfg, kind.build(10));
-        assert_eq!(
-            result.stats.digest(),
-            golden,
-            "boxed digest drift for {}",
             kind.name()
         );
     }

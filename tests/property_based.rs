@@ -188,7 +188,7 @@ proptest! {
         // packets the queue accepted plus the packets it dropped; accepted
         // packets are all either transmitted or still resident at the end.
         use cc_fuzz::netsim::sim::{run_multi_flow_simulation, FlowSpec};
-        use cc_fuzz::netsim::cc::{reference_cc::MiniAimdCc, CongestionControl};
+        use cc_fuzz::netsim::cc::reference_cc::MiniAimdCc;
         use cc_fuzz::netsim::trace::TrafficTrace;
 
         let mut cfg = cc_fuzz::fuzz::campaign::paper_sim_base(SimDuration::from_secs(1));
@@ -202,9 +202,9 @@ proptest! {
         injections.sort_unstable();
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), cfg.duration);
 
-        let specs: Vec<FlowSpec> = (0..n_flows)
+        let specs: Vec<FlowSpec<MiniAimdCc>> = (0..n_flows)
             .map(|i| FlowSpec {
-                cc: Box::new(MiniAimdCc::new(window)) as Box<dyn CongestionControl>,
+                cc: MiniAimdCc::new(window),
                 start: SimTime::from_millis(i as u64 * stagger_ms),
                 stop: None,
             })
@@ -258,7 +258,7 @@ proptest! {
         //    here in aggregate over all recycled flows;
         //  * warm scratch reuse replays the identical behaviour digest.
         use cc_fuzz::netsim::cc::reference_cc::MiniAimdCc;
-        use cc_fuzz::netsim::sim::{run_workload_simulation_pooled, FlowSpec, SimScratch};
+        use cc_fuzz::netsim::sim::{FlowSpec, SimScratch, Simulation};
         use cc_fuzz::netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
         let mut cfg = cc_fuzz::fuzz::campaign::paper_sim_base(SimDuration::from_secs(1));
@@ -294,7 +294,12 @@ proptest! {
                 })
                 .collect();
             let mut protos = vec![MiniAimdCc::new(4), MiniAimdCc::new(8)];
-            run_workload_simulation_pooled(cfg.clone(), &mut specs, &mut protos, scratch)
+            let mut sim =
+                Simulation::new_multi_reusing(cfg.clone(), &mut specs, std::mem::take(scratch));
+            sim.install_arrivals(&mut protos);
+            let result = sim.run();
+            *scratch = sim.into_scratch();
+            result
         };
         let mut scratch = SimScratch::default();
         let result = run(&mut scratch);
