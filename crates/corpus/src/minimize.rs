@@ -291,7 +291,9 @@ impl<G: CrossTraffic, E: Evaluator<G>> Shrinker<'_, G, E> {
             self.spent
         ));
 
-        // Both candidates are derived from the post-ddmin trace up front.
+        // Both candidates are derived from the post-ddmin trace up front, so
+        // an accepted outage cut replaces an accepted flatten rather than
+        // building on it.
         for (label, candidate) in [
             ("flatten-bursts", self.cross().flattened_bursts(BURST_GAP)),
             (
