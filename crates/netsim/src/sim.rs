@@ -1730,6 +1730,7 @@ pub fn run_multi_flow_simulation<C: CongestionControl>(
 mod tests {
     use super::*;
     use crate::cc::reference_cc::{FixedWindowCc, MiniAimdCc};
+    use crate::cc::{CcContext, CongestionSignal, RateSample};
     use crate::link::LinkModel;
     use crate::queue::QueueCapacity;
     use crate::time::SimDuration;
@@ -1756,17 +1757,13 @@ mod tests {
                 RefCc::Fixed(cc) => cc.name(),
             }
         }
-        fn on_ack(&mut self, ctx: &crate::cc::CcContext, rs: &crate::cc::RateSample) {
+        fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
             match self {
                 RefCc::Aimd(cc) => cc.on_ack(ctx, rs),
                 RefCc::Fixed(cc) => cc.on_ack(ctx, rs),
             }
         }
-        fn on_congestion(
-            &mut self,
-            ctx: &crate::cc::CcContext,
-            signal: crate::cc::CongestionSignal,
-        ) {
+        fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
             match self {
                 RefCc::Aimd(cc) => cc.on_congestion(ctx, signal),
                 RefCc::Fixed(cc) => cc.on_congestion(ctx, signal),
